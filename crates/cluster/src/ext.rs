@@ -5,13 +5,13 @@
 //! `Sim<ClusterWorld>` — can reach it without `dvc-cluster` depending on the
 //! layers above it.
 
+use dvc_sim_core::FastMap;
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
 
 /// Heterogeneous, type-keyed storage.
 #[derive(Default)]
 pub struct Extensions {
-    map: HashMap<TypeId, Box<dyn Any>>,
+    map: FastMap<TypeId, Box<dyn Any>>,
 }
 
 impl Extensions {

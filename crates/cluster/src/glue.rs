@@ -26,21 +26,10 @@ use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::LocalNs;
 use dvc_net::NicId;
 use dvc_sim_core::{
-    Event, EventHandle, FaultEvent, Sim, SimDuration, SimTime, SpanId, StorageEvent, TcpEvent,
-    VmmEvent,
+    Event, FaultEvent, Sim, SimDuration, SimTime, SpanId, StorageEvent, TcpEvent, VmmEvent,
 };
 use dvc_vmm::guest::{GuestOs, GuestProc, ProcPoll, ProcState};
 use dvc_vmm::{Vm, VmId, VmImage, VmState};
-use std::collections::HashMap;
-
-/// The armed poll event per (vm, proc). Re-scheduling cancels the previous
-/// event instead of leaving it in the heap to fire as a stale no-op.
-#[derive(Default)]
-struct PollArms(HashMap<(VmId, usize), EventHandle>);
-
-/// The armed TCP timer interrupt per vm (same cancel-on-re-arm contract).
-#[derive(Default)]
-struct TimerArms(HashMap<VmId, EventHandle>);
 
 /// Node-local wall-clock "now" for a node.
 pub fn local_now(sim: &Sim<ClusterWorld>, node: NodeId) -> LocalNs {
@@ -456,7 +445,7 @@ fn tcp_note_event(n: dvc_net::tcp::TcpNote, ep: u32) -> TcpEvent {
 /// Keep exactly one TCP timer interrupt armed per guest: re-arming cancels
 /// the previously armed event before scheduling the new deadline.
 pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
-    if let Some(h) = sim.world.ext.get_or_default::<TimerArms>().0.remove(&vm) {
+    if let Some(h) = sim.world.arms(vm).timer.take() {
         sim.cancel(h);
     }
     let Some(host) = sim.world.vm_host.get(&vm).copied() else {
@@ -476,7 +465,7 @@ pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     let h = sim.schedule_at(at, move |sim| {
         // This is the armed interrupt: clear the slot so a later re-arm
         // doesn't cancel an already-fired handle.
-        sim.world.ext.get_or_default::<TimerArms>().0.remove(&vm);
+        sim.world.arms(vm).timer = None;
         let Some(local) = vm_local_now(sim, vm) else {
             return;
         };
@@ -489,7 +478,7 @@ pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
         v.guest.tcp.on_timer(local);
         drain_vm(sim, vm);
     });
-    sim.world.ext.get_or_default::<TimerArms>().0.insert(vm, h);
+    sim.world.arms(vm).timer = Some(h);
 }
 
 // ---------------------------------------------------------------------
@@ -498,35 +487,21 @@ pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 
 /// Schedule a poll of process `idx` at `at` (cancelling any older schedule).
 pub fn schedule_poll_at(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize, at: SimTime) {
-    if let Some(h) = sim
-        .world
-        .ext
-        .get_or_default::<PollArms>()
-        .0
-        .remove(&(vm, idx))
-    {
+    if let Some(h) = sim.world.arms(vm).poll(idx).take() {
         sim.cancel(h);
     }
     let Some(epoch) = sim.world.vm(vm).map(|v| v.epoch) else {
         return;
     };
     let h = sim.schedule_at(at, move |sim| {
-        sim.world
-            .ext
-            .get_or_default::<PollArms>()
-            .0
-            .remove(&(vm, idx));
+        *sim.world.arms(vm).poll(idx) = None;
         let Some(v) = sim.world.vm(vm) else { return };
         if !v.is_running() || v.epoch != epoch {
             return;
         }
         poll_proc(sim, vm, idx);
     });
-    sim.world
-        .ext
-        .get_or_default::<PollArms>()
-        .0
-        .insert((vm, idx), h);
+    *sim.world.arms(vm).poll(idx) = Some(h);
 }
 
 /// Poll one guest process and act on the result.

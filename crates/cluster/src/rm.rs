@@ -8,8 +8,8 @@
 
 use crate::node::{ClusterId, NodeId};
 use crate::world::ClusterWorld;
-use dvc_sim_core::{Event, RmEvent, Sim, SimDuration, SimTime};
-use std::collections::{HashMap, HashSet, VecDeque};
+use dvc_sim_core::{Event, FastMap, FastSet, RmEvent, Sim, SimDuration, SimTime};
+use std::collections::VecDeque;
 
 /// Batch job identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -61,10 +61,10 @@ type Launcher = Box<dyn FnOnce(&mut Sim<ClusterWorld>, JobId, Vec<NodeId>)>;
 
 /// Scheduler state (a field of the world).
 pub struct ResourceManager {
-    pub jobs: HashMap<JobId, Job>,
+    pub jobs: FastMap<JobId, Job>,
     queue: VecDeque<JobId>,
-    busy: HashSet<NodeId>,
-    launchers: HashMap<JobId, Launcher>,
+    busy: FastSet<NodeId>,
+    launchers: FastMap<JobId, Launcher>,
     next_id: u64,
     /// Enable EASY backfill (on by default).
     pub backfill: bool,
@@ -81,10 +81,10 @@ impl Default for ResourceManager {
 impl ResourceManager {
     pub fn new() -> Self {
         ResourceManager {
-            jobs: HashMap::new(),
+            jobs: FastMap::default(),
             queue: VecDeque::new(),
-            busy: HashSet::new(),
-            launchers: HashMap::new(),
+            busy: FastSet::default(),
+            launchers: FastMap::default(),
             next_id: 1,
             backfill: true,
             failed_by_node_loss: Vec::new(),
@@ -107,15 +107,17 @@ impl ResourceManager {
         self.busy.contains(&n)
     }
 
-    /// Called when a node crashes: running jobs that used it fail.
+    /// Called when a node crashes: running jobs that used it fail, and are
+    /// appended to [`Self::failed_by_node_loss`] in ascending id order.
     pub fn note_node_down(&mut self, node: NodeId) {
         self.busy.remove(&node);
-        let victims: Vec<JobId> = self
+        let mut victims: Vec<JobId> = self
             .jobs
             .values()
             .filter(|j| j.state == JobState::Running && j.assigned.contains(&node))
             .map(|j| j.id)
             .collect();
+        victims.sort_unstable();
         for id in victims {
             if let Some(j) = self.jobs.get_mut(&id) {
                 j.state = JobState::Failed;
@@ -589,7 +591,7 @@ mod tests {
         let mut all: Vec<NodeId> = job.assigned.clone();
         all.extend(&sim.world.rm.job(fill0).unwrap().assigned);
         all.extend(&sim.world.rm.job(fill1).unwrap().assigned);
-        let uniq: HashSet<NodeId> = all.iter().copied().collect();
+        let uniq: FastSet<NodeId> = all.iter().copied().collect();
         assert_eq!(uniq.len(), all.len(), "no node is double-assigned");
         assert_eq!(sim.world.rm.busy_nodes(), 6);
         for &n in &job.assigned {
@@ -655,6 +657,43 @@ mod tests {
         assert_eq!(sim.world.rm.job(a).unwrap().state, JobState::Failed);
         assert_eq!(sim.world.rm.failed_by_node_loss, vec![a]);
         assert_eq!(sim.world.rm.busy_nodes(), 0);
+    }
+
+    #[test]
+    fn node_loss_victims_are_reported_in_job_order() {
+        // The scheduler never shares a node, so co-located running jobs are
+        // set up by hand; a map-order walk would report them shuffled.
+        let mut rm = ResourceManager::new();
+        let node = NodeId(0);
+        for (id, state, assigned) in [
+            (7, JobState::Running, vec![node]),
+            (3, JobState::Running, vec![NodeId(1), node]),
+            (9, JobState::Completed, vec![node]),
+            (5, JobState::Running, vec![NodeId(2)]),
+            (1, JobState::Running, vec![node]),
+            (4, JobState::Running, vec![node]),
+        ] {
+            let id = JobId(id);
+            rm.jobs.insert(
+                id,
+                Job {
+                    id,
+                    spec: spec(assigned.len(), 10, Placement::AllowSpan),
+                    state,
+                    submitted: SimTime::ZERO,
+                    started: Some(SimTime::ZERO),
+                    finished: None,
+                    assigned,
+                },
+            );
+        }
+        rm.note_node_down(node);
+        assert_eq!(
+            rm.failed_by_node_loss,
+            vec![JobId(1), JobId(3), JobId(4), JobId(7)]
+        );
+        assert_eq!(rm.job(JobId(5)).unwrap().state, JobState::Running);
+        assert_eq!(rm.job(JobId(9)).unwrap().state, JobState::Completed);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! scheduled exactly and re-derived whenever a transfer starts or ends.
 
 use crate::world::ClusterWorld;
-use dvc_sim_core::{Event, FaultEvent, Sim, SimDuration, SimTime, StorageEvent};
-use std::collections::HashMap;
+use dvc_sim_core::{Event, FastMap, FaultEvent, Sim, SimDuration, SimTime, StorageEvent};
 
 pub type TransferId = u64;
 
@@ -29,7 +28,7 @@ pub struct SharedStorage {
     pub agg_bps: f64,
     /// Per-stream cap, bytes/s.
     pub per_stream_bps: f64,
-    active: HashMap<TransferId, Transfer>,
+    active: FastMap<TransferId, Transfer>,
     next_id: TransferId,
     gen: u64,
     last_update: SimTime,
@@ -49,7 +48,7 @@ impl SharedStorage {
         SharedStorage {
             agg_bps,
             per_stream_bps,
-            active: HashMap::new(),
+            active: FastMap::default(),
             next_id: 1,
             gen: 0,
             last_update: SimTime::ZERO,
@@ -142,7 +141,7 @@ fn settle(sim: &mut Sim<ClusterWorld>) {
         .filter(|(_, t)| t.remaining <= 0.5)
         .map(|(&id, _)| id)
         .collect();
-    // HashMap order must never leak into callback ordering — determinism.
+    // Map order must never leak into callback ordering — determinism.
     finished.sort_unstable();
     let mut cbs = Vec::new();
     for id in finished {

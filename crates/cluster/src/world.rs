@@ -9,12 +9,11 @@ use dvc_net::fabric::{Fabric, LinkParams, NetWorld, SwitchId};
 use dvc_net::packet::Packet;
 use dvc_net::tcp::TcpConfig;
 use dvc_net::NicId;
-use dvc_sim_core::{FaultPlan, Sim, SimDuration};
+use dvc_sim_core::{EventHandle, FastMap, FaultPlan, Sim, SimDuration};
 use dvc_time::clock::HwClock;
 use dvc_vmm::{OverheadProfile, Vm, VmId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Control-channel latency model (see `control.rs` for semantics).
 #[derive(Clone, Copy, Debug)]
@@ -136,9 +135,9 @@ pub struct ClusterWorld {
     /// Domains by VmId index (`None` after destruction).
     pub vms: Vec<Option<Vm>>,
     /// Current placement of each live domain.
-    pub vm_host: HashMap<VmId, NodeId>,
+    pub vm_host: FastMap<VmId, NodeId>,
     /// Virtual address → domain (the DVC overlay's directory).
-    pub vaddr_vm: HashMap<VirtAddr, VmId>,
+    pub vaddr_vm: FastMap<VirtAddr, VmId>,
     pub fabric: Fabric,
     pub storage: SharedStorage,
     /// The run's fault-injection schedule (empty by default). Install a
@@ -151,8 +150,30 @@ pub struct ClusterWorld {
     /// Head node: NTP server, control-plane origin.
     pub head: NodeId,
     /// Reverse map NIC → owning node (packet delivery dispatch).
-    pub nic_node: HashMap<NicId, NodeId>,
+    pub nic_node: FastMap<NicId, NodeId>,
+    /// Armed guest events per domain, indexed by `VmId` (see [`VmArms`]).
+    arms: Vec<VmArms>,
     next_vaddr: u32,
+}
+
+/// The events `glue` keeps armed for one domain: its TCP timer interrupt
+/// and one poll per guest process. Re-arming cancels the previous handle
+/// instead of leaving it in the heap to fire as a stale no-op; a firing
+/// event clears its own slot.
+#[derive(Default)]
+pub(crate) struct VmArms {
+    pub(crate) timer: Option<EventHandle>,
+    polls: Vec<Option<EventHandle>>,
+}
+
+impl VmArms {
+    /// The poll slot of guest process `idx`.
+    pub(crate) fn poll(&mut self, idx: usize) -> &mut Option<EventHandle> {
+        if self.polls.len() <= idx {
+            self.polls.resize(idx + 1, None);
+        }
+        &mut self.polls[idx]
+    }
 }
 
 impl ClusterWorld {
@@ -170,6 +191,15 @@ impl ClusterWorld {
 
     pub fn vm_mut(&mut self, id: VmId) -> Option<&mut Vm> {
         self.vms.get_mut(id.0 as usize).and_then(|v| v.as_mut())
+    }
+
+    /// The armed-event slots of `vm`.
+    pub(crate) fn arms(&mut self, vm: VmId) -> &mut VmArms {
+        let i = vm.0 as usize;
+        if self.arms.len() <= i {
+            self.arms.resize_with(i + 1, VmArms::default);
+        }
+        &mut self.arms[i]
     }
 
     pub fn alloc_vaddr(&mut self) -> VirtAddr {
@@ -337,8 +367,8 @@ impl ClusterBuilder {
             nodes,
             clusters,
             vms: Vec::new(),
-            vm_host: HashMap::new(),
-            vaddr_vm: HashMap::new(),
+            vm_host: FastMap::default(),
+            vaddr_vm: FastMap::default(),
             fabric,
             storage: SharedStorage::new(self.storage_agg_bps, self.storage_stream_bps),
             faults: FaultPlan::none(),
@@ -346,6 +376,7 @@ impl ClusterBuilder {
             ext: Extensions::new(),
             head: NodeId(0),
             nic_node,
+            arms: Vec::new(),
             next_vaddr: 0,
         }
     }

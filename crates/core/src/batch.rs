@@ -15,8 +15,7 @@ use dvc_cluster::world::ClusterWorld;
 use dvc_mpi::data::RankData;
 use dvc_mpi::harness;
 use dvc_mpi::ops::Op;
-use dvc_sim_core::{Sim, SimDuration};
-use std::collections::HashMap;
+use dvc_sim_core::{FastMap, Sim, SimDuration};
 
 /// A batch DVC job: an MPI program plus its virtual-cluster shape.
 pub struct DvcJobSpec {
@@ -57,8 +56,8 @@ pub struct DvcJobStatus {
 
 #[derive(Default)]
 struct BatchState {
-    jobs: HashMap<JobId, DvcJobStatus>,
-    mpi: HashMap<JobId, harness::MpiJob>,
+    jobs: FastMap<JobId, DvcJobStatus>,
+    mpi: FastMap<JobId, harness::MpiJob>,
 }
 
 fn batch(sim: &mut Sim<ClusterWorld>) -> &mut BatchState {

@@ -11,8 +11,7 @@
 
 use dvc_cluster::node::NodeId;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::Sim;
-use std::collections::HashMap;
+use dvc_sim_core::{FastMap, Sim};
 
 /// Identifies an OS image (a "software stack" in DVC terms).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -22,9 +21,9 @@ pub struct ImageId(pub u64);
 #[derive(Default)]
 pub struct ImageManager {
     /// (node, image) → staged version.
-    staged: HashMap<(NodeId, ImageId), u64>,
+    staged: FastMap<(NodeId, ImageId), u64>,
     /// Published current version per image (staging always pulls this).
-    published: HashMap<ImageId, u64>,
+    published: FastMap<ImageId, u64>,
     pub cache_hits: u64,
     pub cache_misses: u64,
 }

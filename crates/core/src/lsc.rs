@@ -40,10 +40,9 @@ use dvc_cluster::glue;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::storage;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::{Event, LscEvent, Sim, SimDuration, SimTime, SpanId};
+use dvc_sim_core::{Event, FastMap, LscEvent, Sim, SimDuration, SimTime, SpanId};
 use dvc_vmm::{VmId, VmImage};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Which coordinator to use.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -253,7 +252,7 @@ struct CkptRun {
 
 #[derive(Default)]
 struct LscRuns {
-    runs: HashMap<u64, CkptRun>,
+    runs: FastMap<u64, CkptRun>,
     next: u64,
 }
 
@@ -891,7 +890,7 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
 
 /// Map run → stored set id (so `finish_run` can report it).
 #[derive(Default)]
-struct LastSetId(HashMap<u64, u64>);
+struct LastSetId(FastMap<u64, u64>);
 
 /// Resume every member using the same coordination discipline as the save.
 fn coordinated_resume(sim: &mut Sim<ClusterWorld>, run_id: u64) {
@@ -1207,7 +1206,7 @@ struct RestoreRun {
 
 #[derive(Default)]
 struct RestoreRuns {
-    runs: HashMap<u64, RestoreRun>,
+    runs: FastMap<u64, RestoreRun>,
     next: u64,
 }
 

@@ -28,10 +28,9 @@ use crate::vc::{self, VcId, VcState};
 use dvc_cluster::glue;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::{Event, Sim, SimDuration, SimTime, SpanId, VmmEvent};
+use dvc_sim_core::{Event, FastMap, Sim, SimDuration, SimTime, SpanId, VmmEvent};
 use dvc_vmm::migrate::{plan_precopy, PrecopyParams};
 use dvc_vmm::VmImage;
-use std::collections::HashMap;
 
 /// Parameters of a parallel live migration.
 #[derive(Clone, Copy, Debug)]
@@ -101,7 +100,7 @@ struct LiveRun {
 
 #[derive(Default)]
 struct LiveRuns {
-    runs: HashMap<u64, LiveRun>,
+    runs: FastMap<u64, LiveRun>,
     next: u64,
 }
 

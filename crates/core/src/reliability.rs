@@ -12,9 +12,8 @@ use crate::vc::{self, VcId};
 use dvc_cluster::node::NodeId;
 use dvc_cluster::ntp;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::{Event, NtpEvent, Sim, SimDuration};
+use dvc_sim_core::{Event, FastMap, NtpEvent, Sim, SimDuration};
 use dvc_vmm::VmState;
-use std::collections::HashMap;
 
 /// Checkpoint cadence policy.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +115,7 @@ struct RelState {
 }
 
 #[derive(Default)]
-struct RelMgrs(HashMap<VcId, RelState>);
+struct RelMgrs(FastMap<VcId, RelState>);
 
 fn mgrs(sim: &mut Sim<ClusterWorld>) -> &mut RelMgrs {
     sim.world.ext.get_or_default::<RelMgrs>()

@@ -4,9 +4,8 @@ use dvc_cluster::glue;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::storage;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::{Sim, SimDuration, SimTime};
+use dvc_sim_core::{FastMap, Sim, SimDuration, SimTime};
 use dvc_vmm::{VmId, VmImage};
-use std::collections::HashMap;
 
 /// Virtual-cluster identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -106,7 +105,7 @@ impl VirtualCluster {
 /// The world-resident registry of virtual clusters.
 #[derive(Default)]
 pub struct VcRegistry {
-    pub vcs: HashMap<VcId, VirtualCluster>,
+    pub vcs: FastMap<VcId, VirtualCluster>,
     next: u32,
 }
 

@@ -196,8 +196,8 @@ mod tests {
     /// Check a collective's send/recv multiset matches across ranks:
     /// every (src→dst, tag) send has exactly one matching recv.
     fn check_matched(all: &[Vec<Op>]) {
-        let mut sends = std::collections::HashMap::new();
-        let mut recvs = std::collections::HashMap::new();
+        let mut sends = dvc_sim_core::FastMap::default();
+        let mut recvs = dvc_sim_core::FastMap::default();
         for (rank, ops) in all.iter().enumerate() {
             let (s, r) = sends_and_recvs(ops);
             for (to, tag) in s {

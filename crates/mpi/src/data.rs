@@ -1,7 +1,7 @@
 //! Rank-local data: named values and their wire encoding.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
+use dvc_sim_core::FastMap;
 
 /// A value a rank can hold and ship.
 #[derive(Clone, Debug, PartialEq)]
@@ -26,6 +26,13 @@ impl Value {
 
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(self.wire_len());
+        self.encode_into(&mut b);
+        b.freeze()
+    }
+
+    /// Append the wire encoding ([`Value::wire_len`] bytes) to `b`, e.g.
+    /// straight after a frame header.
+    pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             Value::F64(x) => {
                 b.put_u8(0);
@@ -55,7 +62,6 @@ impl Value {
                 b.put_slice(v);
             }
         }
-        b.freeze()
     }
 
     pub fn decode(mut buf: Bytes) -> Result<Value, String> {
@@ -135,7 +141,7 @@ impl Value {
 /// `fn` pointers.
 #[derive(Clone, Debug, Default)]
 pub struct RankData {
-    map: HashMap<String, Value>,
+    map: FastMap<String, Value>,
 }
 
 impl RankData {

@@ -11,12 +11,12 @@
 
 use crate::data::{RankData, Value};
 use crate::ops::{push_front, Op};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use dvc_net::tcp::{LocalNs, SockId, TcpState};
 use dvc_net::{Addr, ByteQueue};
-use dvc_sim_core::SimDuration;
+use dvc_sim_core::{FastMap, SimDuration};
 use dvc_vmm::guest::{GuestCtx, GuestProc, ProcPoll};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// The port every rank's runtime listens on (one rank per VM).
 pub const MPI_PORT: u16 = 6000;
@@ -74,13 +74,18 @@ pub struct MpiRuntime {
     gflops: f64,
     phase: Phase,
     listener: Option<SockId>,
-    peers: HashMap<usize, PeerConn>,
+    peers: FastMap<usize, PeerConn>,
+    /// The keys of `peers`, ascending: the progress engine walks peers in
+    /// rank order so map order never reaches event order.
+    peer_order: Vec<usize>,
+    /// Every active open toward a lower rank has been made.
+    dialed: bool,
     /// Ranks this rank communicates with (None = all). A sparse hint keeps
     /// large jobs (e.g. a 1024-rank ring) from building a full mesh.
     peer_hint: Option<Vec<usize>>,
     /// Accepted sockets awaiting their HELLO frame.
     pending_accepts: Vec<(SockId, Vec<u8>)>,
-    inbox: HashMap<(usize, u32), VecDeque<Vec<u8>>>,
+    inbox: FastMap<(usize, u32), VecDeque<Vec<u8>>>,
     script: VecDeque<Op>,
     pub data: RankData,
     pub stats: MpiStats,
@@ -105,10 +110,12 @@ impl MpiRuntime {
             gflops,
             phase: Phase::Connecting,
             listener: None,
-            peers: HashMap::new(),
+            peers: FastMap::default(),
+            peer_order: Vec::new(),
+            dialed: false,
             peer_hint: None,
             pending_accepts: Vec::new(),
-            inbox: HashMap::new(),
+            inbox: FastMap::default(),
             script: program.into(),
             data,
             stats: MpiStats::default(),
@@ -127,11 +134,23 @@ impl MpiRuntime {
         self
     }
 
-    fn peer_ranks(&self) -> Vec<usize> {
-        match &self.peer_hint {
-            Some(p) => p.clone(),
-            None => (0..self.size).filter(|&r| r != self.rank).collect(),
+    /// The ranks this rank talks to, ascending.
+    fn peer_ranks(&self) -> impl Iterator<Item = usize> + '_ {
+        let (hint, all) = match &self.peer_hint {
+            Some(p) => (p.as_slice(), 0..0),
+            None => (&[][..], 0..self.size),
+        };
+        hint.iter()
+            .copied()
+            .chain(all.filter(move |&r| r != self.rank))
+    }
+
+    /// The connection to `rank`, created (and ordered) on first use.
+    fn peer_mut(&mut self, rank: usize) -> &mut PeerConn {
+        if let Err(at) = self.peer_order.binary_search(&rank) {
+            self.peer_order.insert(at, rank);
         }
+        self.peers.entry(rank).or_default()
     }
 
     pub fn is_done(&self) -> bool {
@@ -150,27 +169,36 @@ impl MpiRuntime {
         self.script.len()
     }
 
-    fn frame(&self, tag: u32, payload: &[u8]) -> Bytes {
-        let mut b = BytesMut::with_capacity(HDR + payload.len());
+    /// A frame holding only the header for a `len`-byte payload, with
+    /// room for the payload to be written straight after it.
+    fn frame_header(&self, tag: u32, len: usize) -> BytesMut {
+        let mut b = BytesMut::with_capacity(HDR + len);
         b.put_u32_le(self.rank as u32);
         b.put_u32_le(tag);
-        b.put_u32_le(payload.len() as u32);
-        b.put_slice(payload);
-        b.freeze()
+        b.put_u32_le(len as u32);
+        b
+    }
+
+    /// `value` framed for `tag`, encoded in place after the header.
+    fn frame_value(&self, tag: u32, value: &Value) -> BytesMut {
+        let mut b = self.frame_header(tag, value.wire_len());
+        value.encode_into(&mut b);
+        b
     }
 
     /// Queue a framed message toward `to` (or loop it back locally).
-    fn post(&mut self, to: usize, tag: u32, payload: Vec<u8>) {
+    fn post(&mut self, to: usize, tag: u32, framed: BytesMut) {
+        let len = (framed.len() - HDR) as u64;
         self.stats.msgs_sent += 1;
-        self.stats.bytes_sent += payload.len() as u64;
+        self.stats.bytes_sent += len;
         if to == self.rank {
             self.stats.msgs_received += 1;
-            self.stats.bytes_received += payload.len() as u64;
+            self.stats.bytes_received += len;
+            let payload = framed[HDR..].to_vec();
             self.inbox.entry((to, tag)).or_default().push_back(payload);
             return;
         }
-        let framed = self.frame(tag, &payload);
-        self.peers.entry(to).or_default().tx.push_bytes(framed);
+        self.peer_mut(to).tx.push_bytes(framed.freeze());
     }
 
     /// Parse complete frames out of a peer's reassembly buffer.
@@ -211,18 +239,23 @@ impl MpiRuntime {
         }
 
         // Active opens toward lower-ranked peers (once).
-        for r in self.peer_ranks() {
-            if r >= self.rank {
-                continue;
+        if !self.dialed {
+            let lower = match &self.peer_hint {
+                Some(p) => p.partition_point(|&r| r < self.rank),
+                None => self.rank,
+            };
+            for i in 0..lower {
+                let r = self.peer_hint.as_ref().map_or(i, |p| p[i]);
+                if self.peer_mut(r).sock.is_none() {
+                    let sock = ctx.tcp.connect(ctx.now, self.map[r], MPI_PORT);
+                    let hello = self.frame_header(HELLO_TAG, 0).freeze();
+                    let peer = self.peer_mut(r);
+                    peer.sock = Some(sock);
+                    // Say hello as the first frame on the stream.
+                    peer.tx.push_bytes(hello);
+                }
             }
-            if self.peers.entry(r).or_default().sock.is_none() {
-                let sock = ctx.tcp.connect(ctx.now, self.map[r], MPI_PORT);
-                let hello = self.frame(HELLO_TAG, &[]);
-                let peer = self.peers.get_mut(&r).unwrap();
-                peer.sock = Some(sock);
-                // Say hello as the first frame on the stream.
-                peer.tx.push_bytes(hello);
-            }
+            self.dialed = true;
         }
 
         // Accept from higher ranks.
@@ -249,17 +282,15 @@ impl MpiRuntime {
         }
         for &(i, src) in identified.iter().rev() {
             let (sock, buf) = self.pending_accepts.remove(i);
-            let peer = self.peers.entry(src).or_default();
+            let peer = self.peer_mut(src);
             peer.sock = Some(sock);
             peer.rx.extend_from_slice(&buf[HDR..]);
             self.parse_frames(src);
         }
 
-        // Per-peer reads, error checks, tx flushing (sorted: HashMap order
-        // must never leak into event ordering — determinism).
-        let mut ranks: Vec<usize> = self.peers.keys().copied().collect();
-        ranks.sort_unstable();
-        for r in ranks {
+        // Per-peer reads, error checks, tx flushing, in rank order.
+        for i in 0..self.peer_order.len() {
+            let r = self.peer_order[i];
             let Some(sock) = self.peers[&r].sock else {
                 continue;
             };
@@ -304,8 +335,8 @@ impl MpiRuntime {
     /// (MPI_Init semantics). Starting earlier would let a long first
     /// compute slice sit on an unsent hello and starve the peer.
     fn mesh_ready(&self, ctx: &mut GuestCtx<'_>) -> bool {
-        self.peer_ranks().iter().all(|r| {
-            self.peers.get(r).is_some_and(|p| {
+        self.peer_ranks().all(|r| {
+            self.peers.get(&r).is_some_and(|p| {
                 p.tx.is_empty()
                     && p.sock.is_some_and(|sock| {
                         matches!(
@@ -343,8 +374,8 @@ impl MpiRuntime {
                     let Some(v) = self.data.get(&slot) else {
                         return self.fail(format!("send: no value at '{slot}'"));
                     };
-                    let payload = v.encode().to_vec();
-                    self.post(to, tag, payload);
+                    let framed = self.frame_value(tag, v);
+                    self.post(to, tag, framed);
                     // Opportunistic flush keeps latency low.
                     if let Err(e) = self.pump_io(ctx) {
                         return self.fail(e);
@@ -453,36 +484,69 @@ impl GuestProc for MpiRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use dvc_net::packet::{Packet, L4};
+    use dvc_net::tcp::{StackOutput, TcpConfig, TcpStack};
+    use dvc_net::VirtAddr;
+    use dvc_vmm::guest::GuestOs;
 
-    #[test]
-    fn frame_layout() {
-        let rt = MpiRuntime::new(
-            3,
-            4,
-            vec![Addr::Virt(dvc_net::VirtAddr(0)); 4],
+    fn runtime(rank: usize, size: usize) -> MpiRuntime {
+        MpiRuntime::new(
+            rank,
+            size,
+            vec![Addr::Virt(VirtAddr(0)); size],
             1.0,
             vec![],
             RankData::new(),
-        );
-        let f = rt.frame(7, b"abc");
-        assert_eq!(f.len(), HDR + 3);
+        )
+    }
+
+    /// The straightforward framing the in-place encoder must reproduce.
+    fn frame(rt: &MpiRuntime, tag: u32, payload: &[u8]) -> Bytes {
+        let mut b = BytesMut::with_capacity(HDR + payload.len());
+        b.put_u32_le(rt.rank as u32);
+        b.put_u32_le(tag);
+        b.put_u32_le(payload.len() as u32);
+        b.put_slice(payload);
+        b.freeze()
+    }
+
+    #[test]
+    fn frame_layout() {
+        let rt = runtime(3, 4);
+        let f = rt.frame_value(7, &Value::Bytes(b"abc".to_vec()));
+        assert_eq!(f.len(), HDR + 12);
         assert_eq!(u32::from_le_bytes(f[0..4].try_into().unwrap()), 3);
         assert_eq!(u32::from_le_bytes(f[4..8].try_into().unwrap()), 7);
-        assert_eq!(u32::from_le_bytes(f[8..12].try_into().unwrap()), 3);
-        assert_eq!(&f[12..], b"abc");
+        assert_eq!(u32::from_le_bytes(f[8..12].try_into().unwrap()), 12);
+        assert_eq!(&f[HDR + 9..], b"abc");
+        let hello = rt.frame_header(HELLO_TAG, 0);
+        assert_eq!(&hello[..], &frame(&rt, HELLO_TAG, &[])[..]);
+    }
+
+    #[test]
+    fn in_place_framing_matches_encode_then_frame() {
+        let rt = runtime(2, 4);
+        for v in [
+            Value::F64(-0.0),
+            Value::U64(u64::MAX),
+            Value::F64Vec(vec![]),
+            Value::F64Vec(vec![1.0, f64::NAN, -3.25]),
+            Value::U64Vec(vec![7, 8, 9]),
+            Value::Bytes(vec![]),
+            Value::Bytes((0..=255).collect()),
+        ] {
+            let framed = rt.frame_value(11, &v);
+            assert_eq!(framed.len(), HDR + v.wire_len(), "{v:?}");
+            assert_eq!(&framed[..], &frame(&rt, 11, &v.encode())[..], "{v:?}");
+        }
     }
 
     #[test]
     fn self_send_loops_back() {
-        let mut rt = MpiRuntime::new(
-            0,
-            1,
-            vec![Addr::Virt(dvc_net::VirtAddr(0))],
-            1.0,
-            vec![],
-            RankData::new(),
-        );
-        rt.post(0, 5, Value::U64(9).encode().to_vec());
+        let mut rt = runtime(0, 1);
+        let framed = rt.frame_value(5, &Value::U64(9));
+        rt.post(0, 5, framed);
         let msg = rt.inbox.get_mut(&(0, 5)).unwrap().pop_front().unwrap();
         assert_eq!(
             Value::decode(bytes::Bytes::from(msg)).unwrap(),
@@ -490,37 +554,19 @@ mod tests {
         );
         assert_eq!(rt.stats.msgs_sent, 1);
         assert_eq!(rt.stats.msgs_received, 1);
+        assert_eq!(rt.stats.bytes_sent, 9);
     }
 
     #[test]
     fn parse_frames_handles_partials() {
-        let mut rt = MpiRuntime::new(
-            0,
-            2,
-            vec![Addr::Virt(dvc_net::VirtAddr(0)); 2],
-            1.0,
-            vec![],
-            RankData::new(),
-        );
+        let mut rt = runtime(0, 2);
         let payload = Value::F64(2.5).encode().to_vec();
-        let mut f = MpiRuntime::new(
-            1,
-            2,
-            vec![Addr::Virt(dvc_net::VirtAddr(0)); 2],
-            1.0,
-            vec![],
-            RankData::new(),
-        )
-        .frame(9, &payload);
+        let mut f = frame(&runtime(1, 2), 9, &payload);
         let second_half = f.split_off(7);
-        rt.peers.entry(1).or_default().rx.extend_from_slice(&f);
+        rt.peer_mut(1).rx.extend_from_slice(&f);
         rt.parse_frames(1);
         assert!(rt.inbox.is_empty(), "partial frame must not parse");
-        rt.peers
-            .entry(1)
-            .or_default()
-            .rx
-            .extend_from_slice(&second_half);
+        rt.peer_mut(1).rx.extend_from_slice(&second_half);
         rt.parse_frames(1);
         let msg = rt.inbox.get_mut(&(1, 9)).unwrap().pop_front().unwrap();
         assert_eq!(
@@ -528,5 +574,91 @@ mod tests {
             Value::F64(2.5)
         );
         assert!(rt.peers[&1].rx.is_empty());
+    }
+
+    /// Deliver `from`'s queued packets to `to`; false when there were none.
+    fn deliver(from: &mut TcpStack, to: &mut TcpStack) -> bool {
+        let out = std::mem::take(&mut from.out);
+        let any = !out.is_empty();
+        for o in out {
+            if let StackOutput::Packet(Packet {
+                src,
+                l4: L4::Tcp(seg),
+                ..
+            }) = o
+            {
+                to.on_segment(0, src, seg);
+            }
+        }
+        any
+    }
+
+    /// Deliver packets between two stacks until both fall quiet.
+    fn shuttle(a: &mut TcpStack, b: &mut TcpStack) {
+        while deliver(a, b) | deliver(b, a) {}
+    }
+
+    #[test]
+    fn peers_created_out_of_order_are_served_in_rank_order() {
+        // Rank 0 talks to ranks 5, 1 and 3, all reached through one remote
+        // stack; its peers come into being in the order 5, 1, 3.
+        let mut rt = runtime(0, 6).with_peer_hint(vec![5, 1, 3]);
+        for r in [5, 1, 3] {
+            let framed = rt.frame_value(1, &Value::U64(r as u64));
+            rt.post(r, 1, framed);
+        }
+        assert_eq!(rt.peer_order, vec![1, 3, 5]);
+
+        let mut os = GuestOs::new(Addr::Virt(VirtAddr(0)), TcpConfig::default());
+        let mut remote = TcpStack::new(Addr::Virt(VirtAddr(1)), TcpConfig::default());
+        let pump = |rt: &mut MpiRuntime, os: &mut GuestOs| {
+            let mut ctx = GuestCtx {
+                now: 0,
+                tcp: &mut os.tcp,
+                udp: &mut os.udp,
+                disk: &mut os.disk,
+                kmsg: &mut os.kmsg,
+                mem: &mut os.mem,
+            };
+            rt.pump_io(&mut ctx).expect("pump");
+        };
+        pump(&mut rt, &mut os); // listen
+        let socks: Vec<SockId> = [5, 1, 3]
+            .iter()
+            .map(|_| remote.connect(0, Addr::Virt(VirtAddr(0)), MPI_PORT))
+            .collect();
+        shuttle(&mut remote, &mut os.tcp);
+        for (&sock, r) in socks.iter().zip([5u32, 1, 3]) {
+            let mut hello = r.to_le_bytes().to_vec();
+            hello.extend_from_slice(&HELLO_TAG.to_le_bytes());
+            hello.extend_from_slice(&0u32.to_le_bytes());
+            assert_eq!(remote.send(0, sock, &hello), HDR);
+        }
+        shuttle(&mut remote, &mut os.tcp);
+        os.tcp.out.clear();
+
+        // One pump identifies the three peers and flushes their frames.
+        pump(&mut rt, &mut os);
+        let port_rank: Vec<(u16, usize)> = rt
+            .peer_order
+            .iter()
+            .map(|&r| (os.tcp.peer_of(rt.peers[&r].sock.unwrap()).unwrap().1, r))
+            .collect();
+        let flushed: Vec<usize> = os
+            .tcp
+            .out
+            .iter()
+            .filter_map(|o| match o {
+                StackOutput::Packet(p) => match &p.l4 {
+                    L4::Tcp(seg) if !seg.payload.is_empty() => port_rank
+                        .iter()
+                        .find(|(port, _)| *port == seg.dst_port)
+                        .map(|&(_, r)| r),
+                    _ => None,
+                },
+                _ => None,
+            })
+            .collect();
+        assert_eq!(flushed, vec![1, 3, 5]);
     }
 }

@@ -4,6 +4,7 @@
 use dvc_mpi::collectives;
 use dvc_mpi::data::Value;
 use dvc_mpi::ops::Op;
+use dvc_sim_core::FastMap;
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -60,8 +61,8 @@ proptest! {
                 _ => collectives::alltoall(r, size, 10, "x"),
             })
             .collect();
-        let mut sends = std::collections::HashMap::new();
-        let mut recvs = std::collections::HashMap::new();
+        let mut sends = FastMap::default();
+        let mut recvs = FastMap::default();
         for (rank, ops) in all.iter().enumerate() {
             for op in ops {
                 match op {

@@ -116,8 +116,7 @@ mod tests {
 
     #[test]
     fn addr_is_usable_as_map_key() {
-        use std::collections::HashMap;
-        let mut m = HashMap::new();
+        let mut m = dvc_sim_core::FastMap::default();
         m.insert(Addr::Virt(VirtAddr(7)), "a");
         m.insert(Addr::Phys(PhysAddr(7)), "b");
         assert_eq!(m.len(), 2);

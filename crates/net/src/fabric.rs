@@ -15,9 +15,8 @@
 
 use crate::addr::{Addr, NicId};
 use crate::packet::Packet;
-use dvc_sim_core::{Sim, SimDuration, SimTime};
+use dvc_sim_core::{FastMap, Sim, SimDuration, SimTime};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// A switch on the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -108,7 +107,7 @@ pub struct Fabric {
     trunks: Vec<Trunk>,
     /// next_hop[from][to] = trunk index to take, None = unreachable/self.
     next_hop: Vec<Vec<Option<usize>>>,
-    bindings: HashMap<Addr, NicId>,
+    bindings: FastMap<Addr, NicId>,
     pub counters: FabricCounters,
 }
 

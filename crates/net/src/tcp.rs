@@ -32,7 +32,8 @@ use crate::addr::Addr;
 use crate::bytequeue::ByteQueue;
 use crate::packet::{Packet, TcpFlags, TcpSegment, L4};
 use bytes::Bytes;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use dvc_sim_core::FastMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Node-local nanoseconds (see `dvc-time`); the stack never sees true time.
 pub type LocalNs = i64;
@@ -338,11 +339,14 @@ impl Socket {
 pub struct TcpStack {
     cfg: TcpConfig,
     local_addr: Addr,
-    sockets: HashMap<SockId, Socket>,
-    listeners: HashMap<u16, SockId>,
+    sockets: FastMap<SockId, Socket>,
+    /// The keys of `sockets`, ascending (ids are never reused, so
+    /// allocation appends). Timers walk this, never the map.
+    sock_ids: Vec<SockId>,
+    listeners: FastMap<u16, SockId>,
     /// Established-but-unaccepted connections per listener.
-    accept_q: HashMap<SockId, VecDeque<SockId>>,
-    conns: HashMap<ConnKey, SockId>,
+    accept_q: FastMap<SockId, VecDeque<SockId>>,
+    conns: FastMap<ConnKey, SockId>,
     next_sock: SockId,
     next_ephemeral: u16,
     isn: u32,
@@ -358,10 +362,11 @@ impl TcpStack {
         TcpStack {
             cfg,
             local_addr,
-            sockets: HashMap::new(),
-            listeners: HashMap::new(),
-            accept_q: HashMap::new(),
-            conns: HashMap::new(),
+            sockets: FastMap::default(),
+            sock_ids: Vec::new(),
+            listeners: FastMap::default(),
+            accept_q: FastMap::default(),
+            conns: FastMap::default(),
             next_sock: 1,
             next_ephemeral: 40_000,
             isn: 10_000,
@@ -425,6 +430,7 @@ impl TcpStack {
         let id = self.next_sock;
         self.next_sock += 1;
         self.sockets.insert(id, s);
+        self.sock_ids.push(id);
         id
     }
 
@@ -667,6 +673,9 @@ impl TcpStack {
 
     fn destroy(&mut self, sock: SockId) {
         if let Some(s) = self.sockets.remove(&sock) {
+            if let Ok(i) = self.sock_ids.binary_search(&sock) {
+                self.sock_ids.remove(i);
+            }
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
             }
@@ -694,37 +703,41 @@ impl TcpStack {
             .min()
     }
 
-    /// Fire all deadlines ≤ `now`.
+    /// Fire all deadlines ≤ `now`, socket by socket in id order.
     pub fn on_timer(&mut self, now: LocalNs) {
-        let mut ids: Vec<SockId> = self.sockets.keys().copied().collect();
-        // HashMap order must never leak into event ordering — determinism.
-        ids.sort_unstable();
-        for id in ids {
-            let Some(s) = self.sockets.get(&id) else {
-                continue;
-            };
-            if let Some(d) = s.time_wait_deadline {
-                if d <= now {
-                    self.push_event(id, SockEvent::Closed);
-                    self.destroy(id);
-                    continue;
-                }
+        let mut next = 0;
+        while let Some(&id) = self.sock_ids.get(next) {
+            self.fire_due(now, id);
+            // The socket may have been destroyed: resume after its id.
+            next = self.sock_ids.partition_point(|&x| x <= id);
+        }
+    }
+
+    fn fire_due(&mut self, now: LocalNs, id: SockId) {
+        let Some(s) = self.sockets.get(&id) else {
+            return;
+        };
+        if let Some(d) = s.time_wait_deadline {
+            if d <= now {
+                self.push_event(id, SockEvent::Closed);
+                self.destroy(id);
+                return;
             }
-            let Some(s) = self.sockets.get(&id) else {
-                continue;
-            };
-            if let Some(d) = s.rtx_deadline {
-                if d <= now {
-                    self.on_rtx_expiry(now, id);
-                }
+        }
+        let Some(s) = self.sockets.get(&id) else {
+            return;
+        };
+        if let Some(d) = s.rtx_deadline {
+            if d <= now {
+                self.on_rtx_expiry(now, id);
             }
-            let Some(s) = self.sockets.get(&id) else {
-                continue;
-            };
-            if let Some(d) = s.ka_deadline {
-                if d <= now {
-                    self.on_keepalive_expiry(now, id);
-                }
+        }
+        let Some(s) = self.sockets.get(&id) else {
+            return;
+        };
+        if let Some(d) = s.ka_deadline {
+            if d <= now {
+                self.on_keepalive_expiry(now, id);
             }
         }
     }

@@ -8,7 +8,8 @@
 use crate::addr::Addr;
 use crate::packet::{Packet, UdpDatagram, L4};
 use bytes::Bytes;
-use std::collections::{HashMap, VecDeque};
+use dvc_sim_core::FastMap;
+use std::collections::VecDeque;
 
 /// A received datagram as seen by the application.
 #[derive(Clone, Debug)]
@@ -26,7 +27,7 @@ pub const UDP_QUEUE_LIMIT: usize = 256;
 #[derive(Clone, Debug)]
 pub struct UdpStack {
     local_addr: Addr,
-    queues: HashMap<u16, VecDeque<UdpRecv>>,
+    queues: FastMap<u16, VecDeque<UdpRecv>>,
     /// Packets awaiting transmission by the host glue.
     pub out: Vec<Packet>,
     pub dropped_unbound: u64,
@@ -37,7 +38,7 @@ impl UdpStack {
     pub fn new(local_addr: Addr) -> Self {
         UdpStack {
             local_addr,
-            queues: HashMap::new(),
+            queues: FastMap::default(),
             out: Vec::new(),
             dropped_unbound: 0,
             dropped_full: 0,

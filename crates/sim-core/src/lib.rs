@@ -29,6 +29,7 @@ pub mod attrib;
 pub mod check;
 pub mod event;
 pub mod faults;
+pub mod hash;
 pub mod metrics;
 pub mod oracle;
 pub mod perfetto;
@@ -48,6 +49,7 @@ pub use event::{
     VmmEvent,
 };
 pub use faults::{kind_from_str, FaultPlan, FaultWindow, FAULT_KINDS};
+pub use hash::{FastMap, FastSet};
 pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
 pub use oracle::{Oracle, OracleReport};
 pub use perfetto::PerfettoTrace;

@@ -19,9 +19,10 @@
 //! anything was cancelled. What cancellation buys is skipping the closure
 //! dispatch and the caller-side staleness bookkeeping, not the heap pop.
 
+use crate::hash::FastSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A queued event: an opaque handler plus its firing time and sequence.
 pub struct Entry<E> {
@@ -57,7 +58,7 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    cancelled: HashSet<u64>,
+    cancelled: FastSet<u64>,
     noop_pops: u64,
     peak_len: usize,
 }
@@ -73,7 +74,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
+            cancelled: FastSet::default(),
             noop_pops: 0,
             peak_len: 0,
         }

@@ -15,9 +15,9 @@
 //! (exponential, log-normal, truncated normal) so callers don't each reinvent
 //! inverse-CDF sampling.
 
+use crate::hash::FastMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// FNV-1a, used only to map labels to seeds (not security sensitive).
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -40,14 +40,14 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// A registry of independent named RNG streams derived from one master seed.
 pub struct RngStreams {
     master: u64,
-    streams: HashMap<u64, SmallRng>,
+    streams: FastMap<u64, SmallRng>,
 }
 
 impl RngStreams {
     pub fn new(master_seed: u64) -> Self {
         RngStreams {
             master: master_seed,
-            streams: HashMap::new(),
+            streams: FastMap::default(),
         }
     }
 
