@@ -28,7 +28,7 @@
 //! hardened pipeline still finishes ≥ 99% of them — and the whole campaign
 //! replays bit-identically from its seed.
 
-use crate::Opts;
+use crate::{write_export, Opts, EXPORT_CAP};
 use dvc_bench::scen::{ring_verdict, run_until, settle, TrialWorld};
 use dvc_bench::table::{pct, secs, Table};
 use dvc_cluster::failure;
@@ -37,8 +37,7 @@ use dvc_cluster::node::NodeId;
 use dvc_core::reliability::{self, Policy};
 use dvc_core::vc;
 use dvc_mpi::harness;
-use dvc_sim_core::trace::{Trace, TraceStats};
-use dvc_sim_core::trial::{run_trials, CampaignSummary};
+use dvc_sim_core::trial::run_trials;
 use dvc_sim_core::{
     CheckCounts, FaultPlan, InvariantChecker, JsonlSink, Metrics, MetricsSnapshot, SimDuration,
     SimTime,
@@ -59,11 +58,10 @@ struct TrialOut {
     restores: u32,
     degraded: u32,
     injected: u64,
-    trace: TraceStats,
     metrics: MetricsSnapshot,
     violations: Vec<String>,
     checked: Option<CheckCounts>,
-    jsonl: Option<Vec<String>>,
+    jsonl: Option<JsonlSink>,
 }
 
 const CKPT_EVERY: u64 = 45;
@@ -117,7 +115,6 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         ..TrialWorld::default()
     };
     let (mut sim, vc_id) = tw.build();
-    sim.trace = Trace::enabled(512).with_categories(&["fault", "rel", "lsc"]);
     sim.metrics = Metrics::enabled();
     let checker = check.then(|| {
         let c = Rc::new(RefCell::new(InvariantChecker::new(
@@ -127,7 +124,7 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         c
     });
     let exporter = export.then(|| {
-        let s = Rc::new(RefCell::new(JsonlSink::new(200_000)));
+        let s = Rc::new(RefCell::new(JsonlSink::new(EXPORT_CAP)));
         sim.attach_sink(s.clone());
         s
     });
@@ -172,24 +169,22 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         restores: rel.restores,
         degraded: rel.degraded_checkpoints,
         injected: sim.world.faults.injected_total(),
-        trace: sim.trace.stats(),
         metrics: sim.metrics.snapshot(),
         violations: checker
             .as_ref()
             .map(|c| c.borrow().violations().to_vec())
             .unwrap_or_default(),
         checked: checker.map(|c| c.borrow().counts()),
-        jsonl: exporter.map(|s| std::mem::take(&mut s.borrow_mut().lines)),
+        jsonl: exporter.map(|s| s.replace(JsonlSink::new(0))),
     }
 }
 
 pub fn run(opts: Opts) {
     println!("## E13 — chaos drill: failure-aware checkpointing under compound faults\n");
     let trials = opts.trials(8);
-    let mut summary = CampaignSummary::default();
     let mut rollup = MetricsSnapshot::default();
-    let mut exported: Option<Vec<String>> = None;
-    let mut exported_baseline: Option<Vec<String>> = None;
+    let mut exported: Option<JsonlSink> = None;
+    let mut exported_baseline: Option<JsonlSink> = None;
     let mut baseline_viol: Vec<String> = Vec::new();
     let mut hardened_viol: Vec<String> = Vec::new();
     let mut counts = CheckCounts::default();
@@ -214,12 +209,18 @@ pub fn run(opts: Opts) {
             // the baseline one contains genuinely *failed* rounds (negative
             // margin) for `dvc-trace waterfall` to dissect.
             let export_here = x == 1.0;
-            let rs = run_trials(
+            let mut rs = run_trials(
                 trials,
                 opts.seed ^ 0xE13 ^ (x * 100.0) as u64,
                 opts.threads,
                 |i, seed| one(seed, x, arm, opts.check_invariants, export_here && i == 0),
             );
+            if let Some(sink) = rs.iter_mut().find_map(|r| r.jsonl.take()) {
+                match arm {
+                    Arm::Baseline => exported_baseline = Some(sink),
+                    Arm::Hardened => exported = Some(sink),
+                }
+            }
             let succ = rs.iter().filter(|r| r.success).count();
             let mean_t = rs
                 .iter()
@@ -229,7 +230,6 @@ pub fn run(opts: Opts) {
                 / succ.max(1) as f64;
             let mean = |f: &dyn Fn(&TrialOut) -> f64| rs.iter().map(f).sum::<f64>() / trials as f64;
             for r in &rs {
-                summary.absorb(&r.trace);
                 rollup.merge(&r.metrics);
                 if let Some(c) = r.checked {
                     counts.windows += c.windows;
@@ -241,12 +241,6 @@ pub fn run(opts: Opts) {
                     Arm::Hardened => &mut hardened_viol,
                 };
                 sink.extend(r.violations.iter().map(|v| format!("x={x:.2}: {v}")));
-            }
-            if let Some(lines) = rs.iter().find_map(|r| r.jsonl.clone()) {
-                match arm {
-                    Arm::Baseline => exported_baseline = Some(lines),
-                    Arm::Hardened => exported = Some(lines),
-                }
             }
             t.row(&[
                 format!("{x:.2}"),
@@ -260,17 +254,13 @@ pub fn run(opts: Opts) {
         }
     }
     println!("{}", t.render());
-    println!("{summary}");
-    if let Some(w) = summary.dropped_warning() {
-        println!("{w}");
-    }
     if !rollup.is_empty() {
         println!("\nmetrics rollup (both arms, all severities):\n");
         println!("```");
         print!("{rollup}");
         println!("```");
     }
-    for (lines, path, label) in [
+    for (sink, path, label) in [
         (&exported, "EVENTS_E13.jsonl", "hardened arm"),
         (
             &exported_baseline,
@@ -278,13 +268,8 @@ pub fn run(opts: Opts) {
             "baseline arm",
         ),
     ] {
-        let Some(lines) = lines else { continue };
-        match std::fs::write(path, lines.join("\n") + "\n") {
-            Ok(()) => println!(
-                "\n_exported {} typed events ({label}, x=1.00, trial 0) to {path}_",
-                lines.len()
-            ),
-            Err(e) => eprintln!("e13: could not write {path}: {e}"),
+        if let Some(sink) = sink {
+            write_export("e13", path, sink, &format!("{label}, x=1.00, trial 0"));
         }
     }
     if opts.check_invariants {

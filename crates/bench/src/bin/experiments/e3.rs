@@ -15,7 +15,7 @@
 //! attaches an [`InvariantChecker`] to every trial (this campaign injects
 //! no faults, so it must come back clean).
 
-use crate::Opts;
+use crate::{write_export, Opts, EXPORT_CAP};
 use dvc_bench::scen::{ring_load, ring_verdict, run_cycles, settle, TrialWorld};
 use dvc_bench::table::{secs, Table};
 use dvc_core::lsc::LscMethod;
@@ -36,7 +36,7 @@ struct TrialOut {
     metrics: MetricsSnapshot,
     violations: Vec<String>,
     checked: Option<CheckCounts>,
-    jsonl: Option<Vec<String>>,
+    jsonl: Option<JsonlSink>,
 }
 
 pub fn run(opts: Opts) {
@@ -67,7 +67,7 @@ pub fn run(opts: Opts) {
             c
         });
         let exporter = (i == 0).then(|| {
-            let s = Rc::new(RefCell::new(JsonlSink::new(200_000)));
+            let s = Rc::new(RefCell::new(JsonlSink::new(EXPORT_CAP)));
             sim.attach_sink(s.clone());
             s
         });
@@ -109,7 +109,7 @@ pub fn run(opts: Opts) {
                 .map(|c| c.borrow().violations().to_vec())
                 .unwrap_or_default(),
             checked: checker.map(|c| c.borrow().counts()),
-            jsonl: exporter.map(|s| std::mem::take(&mut s.borrow_mut().lines)),
+            jsonl: exporter.map(|s| s.replace(JsonlSink::new(0))),
         }
     });
 
@@ -173,15 +173,8 @@ pub fn run(opts: Opts) {
         print!("{rollup}");
         println!("```");
     }
-    if let Some(lines) = results.iter().find_map(|r| r.jsonl.as_ref()) {
-        let path = "EVENTS_E3.jsonl";
-        match std::fs::write(path, lines.join("\n") + "\n") {
-            Ok(()) => println!(
-                "\n_exported {} typed events (trial 0) to {path}_",
-                lines.len()
-            ),
-            Err(e) => eprintln!("e3: could not write {path}: {e}"),
-        }
+    if let Some(sink) = results.iter().find_map(|r| r.jsonl.as_ref()) {
+        write_export("e3", "EVENTS_E3.jsonl", sink, "trial 0");
     }
     if opts.check_invariants {
         let mut counts = CheckCounts::default();

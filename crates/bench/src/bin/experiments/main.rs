@@ -24,6 +24,8 @@ mod e7;
 mod e8;
 mod e9;
 
+use dvc_sim_core::JsonlSink;
+
 /// Global experiment options.
 #[derive(Clone, Copy, Debug)]
 pub struct Opts {
@@ -42,6 +44,28 @@ impl Opts {
     /// Scale a default trial count.
     pub fn trials(&self, default: usize) -> usize {
         ((default as f64 * self.scale).round() as usize).max(1)
+    }
+}
+
+/// Events one exported trial stream may hold before [`JsonlSink`] drops
+/// the rest.
+pub const EXPORT_CAP: usize = 200_000;
+
+/// Write an exported event stream to `path` and say so; warn when the cap
+/// cut it short, since the file then ends before the trial did.
+pub fn write_export(exp: &str, path: &str, sink: &JsonlSink, what: &str) {
+    match std::fs::write(path, sink.lines.join("\n") + "\n") {
+        Ok(()) => println!(
+            "\n_exported {} typed events ({what}) to {path}_",
+            sink.lines.len()
+        ),
+        Err(e) => eprintln!("{exp}: could not write {path}: {e}"),
+    }
+    if sink.dropped > 0 {
+        println!(
+            "warning: {path} is truncated: {} event(s) dropped at cap {EXPORT_CAP}",
+            sink.dropped
+        );
     }
 }
 

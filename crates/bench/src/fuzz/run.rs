@@ -42,8 +42,8 @@ use dvc_core::vc::{self, VcId};
 use dvc_mpi::harness;
 use dvc_sim_core::rng;
 use dvc_sim_core::{
-    kind_from_str, Event, EventSink, FaultPlan, InvariantChecker, LscEvent, Metrics, Oracle,
-    PhaseAttribution, Sim, SimDuration, SimTime, SpanChecker, SpanEvent, VmmEvent,
+    fnv1a, kind_from_str, Event, EventSink, FaultPlan, InvariantChecker, LscEvent, Metrics, Oracle,
+    PhaseAttribution, Sim, SimDuration, SimTime, SpanChecker, SpanEvent, VmmEvent, FNV_BASIS,
 };
 use dvc_workloads::{hpl, ptrans, stream};
 use std::cell::RefCell;
@@ -129,17 +129,6 @@ impl TrialReport {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Independent bookkeeping over the raw stream, for the cross-check oracle
 /// and the determinism digest. Deliberately *not* reusing the metrics
 /// registry: agreeing with it is one of the checks.
@@ -157,11 +146,11 @@ struct CrossCheck {
 impl EventSink for CrossCheck {
     fn on_event(&mut self, time: SimTime, event: &Event) {
         if self.events == 0 {
-            self.digest = FNV_OFFSET;
+            self.digest = FNV_BASIS;
         }
         self.events += 1;
-        self.digest = fnv(self.digest, &time.nanos().to_le_bytes());
-        self.digest = fnv(self.digest, event.key().as_bytes());
+        self.digest = fnv1a(self.digest, &time.nanos().to_le_bytes());
+        self.digest = fnv1a(self.digest, event.key().as_bytes());
         match event {
             Event::Vmm(VmmEvent::SnapshotBegin { .. }) => self.snap_begin += 1,
             Event::Vmm(VmmEvent::SnapshotEnd { .. }) => self.snap_end += 1,
@@ -444,12 +433,12 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
         }
     }
 
-    let mut digest = fnv(FNV_OFFSET, &cross.digest.to_le_bytes());
-    digest = fnv(digest, &spans.digest().to_le_bytes());
-    digest = fnv(digest, &cross.events.to_le_bytes());
-    digest = fnv(digest, &end.nanos().to_le_bytes());
+    let mut digest = fnv1a(FNV_BASIS, &cross.digest.to_le_bytes());
+    digest = fnv1a(digest, &spans.digest().to_le_bytes());
+    digest = fnv1a(digest, &cross.events.to_le_bytes());
+    digest = fnv1a(digest, &end.nanos().to_le_bytes());
     for o in &outcomes {
-        digest = fnv(digest, &[o.success as u8]);
+        digest = fnv1a(digest, &[o.success as u8]);
     }
 
     Ok(TrialReport {

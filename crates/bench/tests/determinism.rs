@@ -11,7 +11,7 @@
 use dvc_bench::scen::{one_cycle_trial, TrialWorld};
 use dvc_core::lsc::LscMethod;
 use dvc_sim_core::trial::run_trials;
-use dvc_sim_core::SimDuration;
+use dvc_sim_core::{fnv1a, SimDuration, FNV_BASIS};
 
 const TRIALS: usize = 6;
 
@@ -47,16 +47,9 @@ fn campaign_lines(master_seed: u64, threads: usize) -> Vec<String> {
 }
 
 fn fnv64(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for l in lines {
-        for b in l.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0x0a;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    lines
+        .iter()
+        .fold(FNV_BASIS, |h, l| fnv1a(fnv1a(h, l.as_bytes()), b"\n"))
 }
 
 #[test]

@@ -16,7 +16,7 @@
 
 use dvc_bench::scen::{ring_load, run_cycles, settle, TrialWorld};
 use dvc_core::lsc::LscMethod;
-use dvc_sim_core::{Event, EventSink, SimDuration, SimTime};
+use dvc_sim_core::{fnv1a, Event, EventSink, SimDuration, SimTime, FNV_BASIS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -64,16 +64,9 @@ fn lsc_event_lines(seed: u64) -> Vec<String> {
 
 /// FNV-1a over every line, with a virtual `\n` after each.
 fn fnv64(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for l in lines {
-        for b in l.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0x0a;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    lines
+        .iter()
+        .fold(FNV_BASIS, |h, l| fnv1a(fnv1a(h, l.as_bytes()), b"\n"))
 }
 
 #[test]

@@ -15,7 +15,7 @@ use dvc_net::fabric::LinkParams;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig};
 use dvc_net::testkit::{drain, local_now, run_until, DropRule, TestWorld};
-use dvc_sim_core::{Sim, SimTime};
+use dvc_sim_core::{fnv1a, Sim, SimTime, FNV_BASIS};
 
 const A: usize = 0;
 const B: usize = 1;
@@ -99,16 +99,9 @@ fn transfer(
 }
 
 fn fnv64(lines: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for l in lines {
-        for b in l.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-        h ^= 0x0a;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    lines
+        .iter()
+        .fold(FNV_BASIS, |h, l| fnv1a(fnv1a(h, l.as_bytes()), b"\n"))
 }
 
 /// Assert the trace matches its golden (digest, line count); dump on demand.

@@ -23,6 +23,7 @@
 
 use crate::event::{Event, FaultEvent, LscEvent, SpanEvent, StorageEvent};
 use crate::sim::EventSink;
+use crate::span::{ClosedSpan, Span, SpanTree};
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,15 +99,6 @@ impl RoundRecord {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct OpenSpan {
-    name: &'static str,
-    arg: u64,
-    start: SimTime,
-    /// Index into `rounds` of the `lsc.round` ancestor, if any.
-    round: Option<usize>,
-}
-
 /// The attribution sink. Attach alongside the other sinks, run, then read
 /// [`PhaseAttribution::rounds`] / [`PhaseAttribution::margin_hist`].
 #[derive(Debug)]
@@ -115,7 +107,11 @@ pub struct PhaseAttribution {
     rounds: Vec<RoundRecord>,
     by_run: BTreeMap<u64, usize>,
     active: BTreeSet<u64>,
-    open: BTreeMap<u64, OpenSpan>,
+    tree: SpanTree,
+    /// `lsc.round` span id → index into `rounds`. A round span is always a
+    /// root, so every span finds its round through its root id; entries
+    /// outlive the round span, since children may close after it.
+    round_of: BTreeMap<u64, usize>,
     /// Closed spans with no `lsc.round` ancestor (restore/migration trees).
     free_phases: Vec<PhaseSample>,
     /// Latest event time seen — the stream's observed end.
@@ -131,7 +127,8 @@ impl PhaseAttribution {
             rounds: Vec::new(),
             by_run: BTreeMap::new(),
             active: BTreeSet::new(),
-            open: BTreeMap::new(),
+            tree: SpanTree::default(),
+            round_of: BTreeMap::new(),
             free_phases: Vec::new(),
             stream_end: None,
         }
@@ -162,21 +159,10 @@ impl PhaseAttribution {
         // dispatch whose member never fired or an ack collection that
         // never resolved is exactly the evidence a failed round's
         // waterfall needs to show.
-        let open = std::mem::take(&mut self.open);
-        for (_, s) in open {
-            if s.name == "lsc.round" {
-                continue;
-            }
-            let sample = PhaseSample {
-                name: s.name,
-                arg: s.arg,
-                start: s.start,
-                end,
-                complete: false,
-            };
-            match s.round {
-                Some(i) => self.rounds[i].phases.push(sample),
-                None => self.free_phases.push(sample),
+        let tree = std::mem::take(&mut self.tree);
+        for s in tree.spans() {
+            if s.name != "lsc.round" {
+                self.attribute(s, end, false);
             }
         }
     }
@@ -232,8 +218,8 @@ impl PhaseAttribution {
         h
     }
 
-    fn round_mut(&mut self, run: u64, t: SimTime) -> &mut RoundRecord {
-        let idx = *self.by_run.entry(run).or_insert_with(|| {
+    fn round_idx(&mut self, run: u64, t: SimTime) -> usize {
+        *self.by_run.entry(run).or_insert_with(|| {
             self.rounds.push(RoundRecord {
                 run,
                 start: t,
@@ -241,8 +227,27 @@ impl PhaseAttribution {
             });
             self.active.insert(run);
             self.rounds.len() - 1
-        });
+        })
+    }
+
+    fn round_mut(&mut self, run: u64, t: SimTime) -> &mut RoundRecord {
+        let idx = self.round_idx(run, t);
         &mut self.rounds[idx]
+    }
+
+    /// File a phase span under the round its root opened, or as free.
+    fn attribute(&mut self, s: &Span, end: SimTime, complete: bool) {
+        let sample = PhaseSample {
+            name: s.name,
+            arg: s.arg,
+            start: s.start,
+            end,
+            complete,
+        };
+        match self.round_of.get(&s.root) {
+            Some(&i) => self.rounds[i].phases.push(sample),
+            None => self.free_phases.push(sample),
+        }
     }
 }
 
@@ -256,41 +261,20 @@ impl EventSink for PhaseAttribution {
                 name,
                 arg,
             }) => {
-                let round = if *name == "lsc.round" {
-                    self.round_mut(*arg, time);
-                    Some(self.by_run[arg])
-                } else {
-                    self.open.get(parent).and_then(|p| p.round)
-                };
-                self.open.insert(
-                    *id,
-                    OpenSpan {
-                        name,
-                        arg: *arg,
-                        start: time,
-                        round,
-                    },
-                );
+                if *name == "lsc.round" {
+                    let idx = self.round_idx(*arg, time);
+                    self.round_of.insert(*id, idx);
+                }
+                let _ = self.tree.open(time, *id, *parent, name, *arg);
             }
             Event::Span(SpanEvent::Close { id }) => {
-                if let Some(s) = self.open.remove(id) {
-                    if s.name == "lsc.round" {
-                        if let Some(i) = self.by_run.get(&s.arg) {
-                            self.rounds[*i].end = Some(time);
-                        }
-                        return;
-                    }
-                    let sample = PhaseSample {
-                        name: s.name,
-                        arg: s.arg,
-                        start: s.start,
-                        end: time,
-                        complete: true,
-                    };
-                    match s.round {
-                        Some(i) => self.rounds[i].phases.push(sample),
-                        None => self.free_phases.push(sample),
-                    }
+                let Ok(ClosedSpan { span: s, end }) = self.tree.close(time, *id) else {
+                    return;
+                };
+                if s.name != "lsc.round" {
+                    self.attribute(&s, end, true);
+                } else if let Some(&i) = self.by_run.get(&s.arg) {
+                    self.rounds[i].end = Some(end);
                 }
             }
             Event::Lsc(LscEvent::SaveFired { run, vc, .. }) => {

@@ -1,27 +1,20 @@
-//! Typed observability events — the structured spine behind the string trace.
+//! Typed observability events — the one structured event channel.
 //!
 //! Every model layer emits [`Event`]s through [`crate::Sim::emit`] instead of
-//! formatting strings at the call site. One emission fans out three ways:
+//! formatting strings at the call site. One emission fans out two ways:
 //!
 //! * the [`crate::Metrics`] registry counts the event by [`Event::key`] and
 //!   feeds its measurement (if any) into a log-scale histogram;
-//! * the legacy string [`crate::trace::Trace`] receives the [`std::fmt::Display`]
-//!   rendering — but **only** for events that were traced before the spine
-//!   existed ([`Event::trace_category`] returns `Some`), so ring contents,
-//!   category counts and campaign summaries are byte-identical to the
-//!   `sim_trace!` era;
 //! * every attached [`crate::EventSink`] observes the typed value, which is
 //!   how invariant checkers and exporters subscribe without the emitting
-//!   layer knowing.
+//!   layer knowing. [`Event::jsonl`] is the one text rendering.
 //!
 //! Identifiers are deliberately raw integers (`vm`/`node`/`vc` as `u32`,
 //! `run`/`set`/`job` as `u64`): `dvc-sim-core` sits below the crates that
 //! define `VmId`/`NodeId`/`VcId`, and the spine must not invert the crate
-//! DAG. The `Display` impl re-creates the upper layers' debug renderings
-//! (`VmId(2)`, `NodeId(3)`, `p4`…) where the legacy trace used them.
+//! DAG.
 
 use crate::time::{SimDuration, SimTime};
-use std::fmt;
 
 /// A structured observability event. See the module docs for routing.
 #[derive(Clone, Debug, PartialEq)]
@@ -300,26 +293,6 @@ impl Event {
         }
     }
 
-    /// The legacy string-trace category this event used to be emitted under,
-    /// or `None` for events born typed. Routing only `Some` events into
-    /// [`crate::trace::Trace`] keeps ring contents and campaign summaries
-    /// byte-identical to the `sim_trace!` era.
-    pub fn trace_category(&self) -> Option<&'static str> {
-        match self {
-            Event::Storage(_) => Some("fault"),
-            Event::Fault(FaultEvent::Injected { .. }) => None,
-            Event::Fault(_) => Some("fault"),
-            Event::Ntp(NtpEvent::Unanswered { .. }) => Some("fault"),
-            Event::Ntp(NtpEvent::SyncStale { .. }) => Some("rel"),
-            Event::Lsc(
-                LscEvent::ChecksumResave { .. }
-                | LscEvent::ChecksumGiveUp { .. }
-                | LscEvent::SavePhaseFailed,
-            ) => Some("lsc"),
-            _ => None,
-        }
-    }
-
     /// The measurement this event contributes to a log-scale histogram, if
     /// any: `(histogram key, value)`.
     pub fn measure(&self) -> Option<(&'static str, f64)> {
@@ -515,317 +488,9 @@ impl Event {
     }
 }
 
-impl fmt::Display for Event {
-    /// Human-readable rendering. For every variant with a `trace_category`,
-    /// this reproduces the legacy `sim_trace!` format string byte-for-byte
-    /// (including upper-layer debug forms like `VmId(2)` / `NodeId(3)` /
-    /// `p4`), so echoed traces and trace-derived digests are unchanged.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Event::Tcp(e) => match e {
-                TcpEvent::Retransmit { ep } => write!(f, "tcp retransmit on ep{ep}"),
-                TcpEvent::FastRetransmit { ep } => write!(f, "tcp fast retransmit on ep{ep}"),
-                TcpEvent::RtoFired { ep } => write!(f, "tcp rto fired on ep{ep}"),
-                TcpEvent::ZeroWindowProbe { ep } => write!(f, "tcp zero-window probe on ep{ep}"),
-                TcpEvent::KeepaliveProbe { ep } => write!(f, "tcp keepalive probe on ep{ep}"),
-                TcpEvent::ConnAborted { ep } => write!(f, "tcp connection aborted on ep{ep}"),
-            },
-            Event::Vmm(e) => match e {
-                VmmEvent::SnapshotBegin { vm } => write!(f, "snapshot of VmId({vm}) begins"),
-                VmmEvent::SnapshotEnd { vm, bytes } => {
-                    write!(f, "snapshot of VmId({vm}) captured {bytes} B")
-                }
-                VmmEvent::PagesDirty { vm, dirty, total } => {
-                    write!(f, "VmId({vm}) has {dirty}/{total} pages dirty")
-                }
-                VmmEvent::MigrateCutover { vm } => {
-                    write!(f, "live migration cutover of VmId({vm})")
-                }
-            },
-            Event::Lsc(e) => match e {
-                LscEvent::ArmSent { run, vc, member } => {
-                    write!(f, "run {run}: arm sent to member {member} of VcId({vc})")
-                }
-                LscEvent::SaveFired {
-                    run,
-                    vc,
-                    member,
-                    vm,
-                } => write!(
-                    f,
-                    "run {run}: save fired for member {member} (VmId({vm})) of VcId({vc})"
-                ),
-                LscEvent::SaveAcked {
-                    run,
-                    vc,
-                    member,
-                    ok,
-                } => write!(
-                    f,
-                    "run {run}: save of member {member} of VcId({vc}) acked (ok={ok})"
-                ),
-                LscEvent::ChecksumResave { vm, attempt } => write!(
-                    f,
-                    "image of VmId({vm}) failed checksum; re-saving (attempt {attempt})"
-                ),
-                LscEvent::ChecksumGiveUp { vm, retries } => write!(
-                    f,
-                    "image of VmId({vm}) still corrupt after {retries} re-saves; giving up"
-                ),
-                LscEvent::SavePhaseFailed => {
-                    write!(
-                        f,
-                        "save phase failed; resuming members without storing a set"
-                    )
-                }
-                LscEvent::WindowClosed {
-                    run,
-                    vc,
-                    skew,
-                    stored,
-                } => write!(
-                    f,
-                    "run {run}: save window of VcId({vc}) closed, skew {skew}, stored={stored}"
-                ),
-                LscEvent::SetStored { vc, set, skew } => {
-                    write!(f, "set {set} of VcId({vc}) stored, pause skew {skew}")
-                }
-                LscEvent::AbortReArm { run, vc, attempt } => write!(
-                    f,
-                    "run {run}: attempt {attempt} on VcId({vc}) aborted; re-arming"
-                ),
-                LscEvent::RunFinished { run, vc, success } => {
-                    write!(f, "run {run} on VcId({vc}) finished (success={success})")
-                }
-            },
-            Event::Rm(e) => match e {
-                RmEvent::JobQueued { job } => write!(f, "job {job} queued"),
-                RmEvent::JobStarted { job, nodes } => {
-                    write!(f, "job {job} started on {} nodes", nodes.len())
-                }
-                RmEvent::JobCompleted { job, success } => {
-                    write!(f, "job {job} completed (success={success})")
-                }
-                RmEvent::BackfillReservation { head_job, shadow } => {
-                    write!(
-                        f,
-                        "backfill reservation for head job {head_job} at {shadow}"
-                    )
-                }
-                RmEvent::BackfillStarted { job } => write!(f, "job {job} backfilled"),
-                RmEvent::NodeDown { node } => write!(f, "NodeId({node}) down"),
-                RmEvent::NodeUp { node } => write!(f, "NodeId({node}) up"),
-            },
-            Event::Storage(e) => match e {
-                StorageEvent::TransferFailed { bytes } => {
-                    write!(f, "storage transfer of {bytes} B failed")
-                }
-                StorageEvent::TransferRetry {
-                    attempt,
-                    max_attempts,
-                    bytes,
-                    backoff,
-                } => write!(
-                    f,
-                    "storage retry {attempt}/{max_attempts} for {bytes} B after {backoff}"
-                ),
-                StorageEvent::SaveLost { vm } => {
-                    write!(f, "save of VmId({vm}) lost to storage failure")
-                }
-                StorageEvent::ChecksumFail { vm } => {
-                    write!(f, "stored image of VmId({vm}) silently corrupted")
-                }
-            },
-            Event::Fault(e) => match e {
-                FaultEvent::Injected { what } => write!(f, "fault injected: {what}"),
-                FaultEvent::BrownoutBegin { factor } => {
-                    write!(f, "storage brownout begins: ×{factor:.2}")
-                }
-                FaultEvent::BrownoutEnd => write!(f, "storage brownout ends"),
-                FaultEvent::ClockStep { node, step_s } => {
-                    write!(f, "clock on NodeId({node}) stepped by {step_s:+.3} s")
-                }
-                FaultEvent::CtrlDropped { node } => {
-                    write!(f, "control msg to NodeId({node}) dropped")
-                }
-                FaultEvent::CtrlPartitioned { node, in_flight } => {
-                    if *in_flight {
-                        write!(f, "control msg to NodeId({node}) lost in flight: partition")
-                    } else {
-                        write!(f, "control msg to NodeId({node}) lost: partition")
-                    }
-                }
-            },
-            Event::Ntp(e) => match e {
-                NtpEvent::Unanswered { phys, host } => write!(
-                    f,
-                    "ntp request from {}{host} unanswered: outage",
-                    if *phys { 'p' } else { 'v' }
-                ),
-                NtpEvent::SyncStale { vc } => {
-                    write!(f, "VcId({vc}): NTP sync stale, clock-free checkpoint")
-                }
-            },
-            Event::Mpi(MpiEvent::JobLaunched { ranks }) => {
-                write!(f, "mpi job launched with {ranks} ranks")
-            }
-            Event::Span(e) => match e {
-                SpanEvent::Open {
-                    id,
-                    parent,
-                    name,
-                    arg,
-                } => write!(f, "span {id} ({name}, arg {arg}) opened under {parent}"),
-                SpanEvent::Close { id } => write!(f, "span {id} closed"),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_trace_strings_are_byte_identical() {
-        // These literals are the exact `sim_trace!` format results the spine
-        // replaced; consumers (echo logs, trace digests) depend on them.
-        let cases: Vec<(Event, &str, &str)> = vec![
-            (
-                Event::Fault(FaultEvent::CtrlPartitioned {
-                    node: 3,
-                    in_flight: false,
-                }),
-                "control msg to NodeId(3) lost: partition",
-                "fault",
-            ),
-            (
-                Event::Fault(FaultEvent::CtrlPartitioned {
-                    node: 3,
-                    in_flight: true,
-                }),
-                "control msg to NodeId(3) lost in flight: partition",
-                "fault",
-            ),
-            (
-                Event::Fault(FaultEvent::CtrlDropped { node: 7 }),
-                "control msg to NodeId(7) dropped",
-                "fault",
-            ),
-            (
-                Event::Storage(StorageEvent::TransferFailed { bytes: 1024 }),
-                "storage transfer of 1024 B failed",
-                "fault",
-            ),
-            (
-                Event::Storage(StorageEvent::SaveLost { vm: 2 }),
-                "save of VmId(2) lost to storage failure",
-                "fault",
-            ),
-            (
-                Event::Storage(StorageEvent::ChecksumFail { vm: 2 }),
-                "stored image of VmId(2) silently corrupted",
-                "fault",
-            ),
-            (
-                Event::Fault(FaultEvent::BrownoutBegin { factor: 0.3 }),
-                "storage brownout begins: ×0.30",
-                "fault",
-            ),
-            (
-                Event::Fault(FaultEvent::BrownoutEnd),
-                "storage brownout ends",
-                "fault",
-            ),
-            (
-                Event::Fault(FaultEvent::ClockStep {
-                    node: 2,
-                    step_s: 6.0,
-                }),
-                "clock on NodeId(2) stepped by +6.000 s",
-                "fault",
-            ),
-            (
-                Event::Ntp(NtpEvent::Unanswered {
-                    phys: true,
-                    host: 4,
-                }),
-                "ntp request from p4 unanswered: outage",
-                "fault",
-            ),
-            (
-                Event::Lsc(LscEvent::ChecksumResave { vm: 5, attempt: 1 }),
-                "image of VmId(5) failed checksum; re-saving (attempt 1)",
-                "lsc",
-            ),
-            (
-                Event::Lsc(LscEvent::ChecksumGiveUp { vm: 5, retries: 3 }),
-                "image of VmId(5) still corrupt after 3 re-saves; giving up",
-                "lsc",
-            ),
-            (
-                Event::Lsc(LscEvent::SavePhaseFailed),
-                "save phase failed; resuming members without storing a set",
-                "lsc",
-            ),
-            (
-                Event::Ntp(NtpEvent::SyncStale { vc: 0 }),
-                "VcId(0): NTP sync stale, clock-free checkpoint",
-                "rel",
-            ),
-        ];
-        for (ev, want, cat) in cases {
-            assert_eq!(ev.to_string(), want, "display drifted for {:?}", ev.key());
-            assert_eq!(ev.trace_category(), Some(cat), "category of {:?}", ev.key());
-        }
-    }
-
-    #[test]
-    fn storage_retry_backoff_renders_like_simduration() {
-        let ev = Event::Storage(StorageEvent::TransferRetry {
-            attempt: 2,
-            max_attempts: 4,
-            bytes: 500,
-            backoff: SimDuration::from_secs_f64(1.0),
-        });
-        assert_eq!(
-            ev.to_string(),
-            format!(
-                "storage retry 2/4 for 500 B after {}",
-                SimDuration::from_secs_f64(1.0)
-            )
-        );
-    }
-
-    #[test]
-    fn new_events_are_not_string_traced() {
-        for ev in [
-            Event::Tcp(TcpEvent::Retransmit { ep: 1 }),
-            Event::Vmm(VmmEvent::SnapshotBegin { vm: 1 }),
-            Event::Lsc(LscEvent::ArmSent {
-                run: 1,
-                vc: 0,
-                member: 0,
-            }),
-            Event::Rm(RmEvent::JobQueued { job: 1 }),
-            Event::Fault(FaultEvent::Injected { what: "x" }),
-            Event::Mpi(MpiEvent::JobLaunched { ranks: 4 }),
-            Event::Span(SpanEvent::Open {
-                id: 1,
-                parent: 0,
-                name: "lsc.round",
-                arg: 1,
-            }),
-            Event::Span(SpanEvent::Close { id: 1 }),
-        ] {
-            assert_eq!(
-                ev.trace_category(),
-                None,
-                "{} must stay typed-only",
-                ev.key()
-            );
-        }
-    }
 
     #[test]
     fn jsonl_is_wellformed_and_keyed() {

@@ -12,6 +12,9 @@
 //! debug builds seed each map's hasher from a process-global counter, as
 //! std's `RandomState` does, so `cargo test` still sees varying iteration
 //! orders. Release builds (experiments, benchmarks) use one fixed hasher.
+//!
+//! Digests and label-derived seeds that must stay stable across builds and
+//! platforms use [`fnv1a`] instead, byte for byte.
 
 use std::hash::{BuildHasher, Hasher};
 
@@ -127,6 +130,25 @@ impl BuildHasher for FastState {
     }
 }
 
+/// The FNV-1a-64 offset basis: the hash of no bytes, and the start of
+/// every running [`fnv1a`] digest.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+
+/// Fold `bytes` into the running FNV-1a-64 hash `h`. Start from
+/// [`FNV_BASIS`]; feeding a message in pieces gives the same hash as
+/// feeding it whole. RNG label seeds, image checksums and every pinned
+/// digest are built on this one function.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,6 +191,14 @@ mod tests {
         let first: Vec<u64> = build().into_keys().collect();
         let differs = (0..32).any(|_| build().into_keys().collect::<Vec<_>>() != first);
         assert!(differs, "32 equal maps all iterated in one order");
+    }
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(FNV_BASIS, b""), 0xcbf29ce484222325);
+        assert_eq!(fnv1a(FNV_BASIS, b"a"), 0xaf63dc4c8601ec8c);
+        assert_eq!(fnv1a(FNV_BASIS, b"foobar"), 0x85944171f73967e8);
+        assert_eq!(fnv1a(fnv1a(FNV_BASIS, b"foo"), b"bar"), 0x85944171f73967e8);
     }
 
     #[test]

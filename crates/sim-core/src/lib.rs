@@ -17,10 +17,14 @@
 //! * [`trial`] — a data-parallel campaign runner that fans independent
 //!   simulation trials out across OS threads (each trial is single-threaded
 //!   and seeded, so campaigns are reproducible and embarrassingly parallel).
-//! * [`event`] / [`metrics`] / [`check`] — the typed observability spine:
-//!   structured [`Event`]s emitted via [`Sim::emit`], a [`Metrics`] registry
-//!   fed from them, and [`EventSink`] subscribers (invariant checkers, JSONL
-//!   export) that observe runs without perturbing them.
+//! * [`event`] / [`metrics`] / [`check`] / [`span`] — the typed
+//!   observability spine: structured [`Event`]s emitted via [`Sim::emit`]
+//!   (the one event channel), a [`Metrics`] registry fed from them, and
+//!   [`EventSink`] subscribers (invariant checkers, JSONL export, span
+//!   analyzers sharing one open-span fold) that observe runs without
+//!   perturbing them.
+//! * [`hash`] — the one fast hasher behind every model map, and the one
+//!   FNV-1a ([`fnv1a`]) behind label seeds, checksums and digests.
 //!
 //! Everything above this crate (network, hypervisor, MPI, DVC itself) is
 //! expressed as state inside `W` plus events scheduled on the same queue.
@@ -39,7 +43,6 @@ pub mod sim;
 pub mod span;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod trial;
 
 pub use attrib::{PhaseAttribution, PhaseSample, RoundRecord};
@@ -49,7 +52,7 @@ pub use event::{
     VmmEvent,
 };
 pub use faults::{kind_from_str, FaultPlan, FaultWindow, FAULT_KINDS};
-pub use hash::{FastMap, FastSet};
+pub use hash::{fnv1a, FastMap, FastSet, FNV_BASIS};
 pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
 pub use oracle::{Oracle, OracleReport};
 pub use perfetto::PerfettoTrace;

@@ -1,5 +1,5 @@
 //! Metrics registry: counters, gauges and log-scale histograms keyed by
-//! `&'static str`, snapshot-able like [`crate::trace::TraceStats`].
+//! `&'static str`, with mergeable [`MetricsSnapshot`]s.
 //!
 //! The registry is owned by [`crate::Sim`] and fed automatically by
 //! [`crate::Sim::emit`]: every event increments the counter named by
@@ -7,7 +7,7 @@
 //! ([`crate::Event::measure`]) feed a histogram. Models may also record
 //! directly (`sim.metrics.inc(…)`) for quantities that are not events.
 //!
-//! Like tracing, metrics are **off by default** and cost one branch per
+//! Like sinks, metrics are **off by default** and cost one branch per
 //! emission when disabled, so the spine stays out of the hot path unless a
 //! campaign asks for it. Snapshots are plain values that merge across
 //! trials, which is how per-campaign rollups are built in the bench

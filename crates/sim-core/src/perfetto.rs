@@ -12,35 +12,16 @@
 
 use crate::event::{Event, SpanEvent};
 use crate::sim::EventSink;
+use crate::span::{ClosedSpan, SpanTree};
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-#[derive(Clone, Copy, Debug)]
-struct OpenSpan {
-    parent: u64,
-    name: &'static str,
-    arg: u64,
-    start: SimTime,
-    root: u64,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct DoneSpan {
-    id: u64,
-    parent: u64,
-    name: &'static str,
-    arg: u64,
-    start: SimTime,
-    end: SimTime,
-    root: u64,
-}
-
 /// Collects spans and renders Chrome-trace JSON. See the module docs.
 #[derive(Debug, Default)]
 pub struct PerfettoTrace {
-    open: BTreeMap<u64, OpenSpan>,
-    done: Vec<DoneSpan>,
+    tree: SpanTree,
+    done: Vec<ClosedSpan>,
     /// Root span id → (name, arg), for track naming.
     roots: BTreeMap<u64, (&'static str, u64)>,
     /// Closes that matched no open span (malformed input stream).
@@ -60,7 +41,7 @@ impl PerfettoTrace {
     /// Spans still open — nonzero at end of run means the stream was
     /// truncated; they are not exported.
     pub fn unclosed(&self) -> usize {
-        self.open.len()
+        self.tree.len()
     }
 
     /// Render the collected spans as one Chrome-trace JSON document.
@@ -80,7 +61,7 @@ impl PerfettoTrace {
                  \"args\":{{\"name\":\"{name} {arg}\"}}}}"
             );
         }
-        for d in &self.done {
+        for ClosedSpan { span: d, end } in &self.done {
             if !first {
                 s.push_str(",\n");
             }
@@ -91,7 +72,7 @@ impl PerfettoTrace {
                  \"name\":\"{}\",\"args\":{{\"id\":{},\"parent\":{},\"arg\":{}}}}}",
                 d.root,
                 us(d.start),
-                us(d.end) - us(d.start),
+                us(*end) - us(d.start),
                 d.name,
                 d.id,
                 d.parent,
@@ -113,34 +94,15 @@ impl EventSink for PerfettoTrace {
                 name,
                 arg,
             } => {
-                let root = if parent == 0 {
+                if parent == 0 {
                     self.roots.insert(id, (name, arg));
-                    id
-                } else {
-                    self.open.get(&parent).map(|p| p.root).unwrap_or(id)
-                };
-                self.open.insert(
-                    id,
-                    OpenSpan {
-                        parent,
-                        name,
-                        arg,
-                        start: time,
-                        root,
-                    },
-                );
+                }
+                // An orphan gets its own track, without a track name.
+                let _ = self.tree.open(time, id, parent, name, arg);
             }
-            SpanEvent::Close { id } => match self.open.remove(&id) {
-                Some(o) => self.done.push(DoneSpan {
-                    id,
-                    parent: o.parent,
-                    name: o.name,
-                    arg: o.arg,
-                    start: o.start,
-                    end: time,
-                    root: o.root,
-                }),
-                None => self.unmatched_closes += 1,
+            SpanEvent::Close { id } => match self.tree.close(time, id) {
+                Ok(c) => self.done.push(c),
+                Err(_) => self.unmatched_closes += 1,
             },
         }
     }

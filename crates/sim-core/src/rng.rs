@@ -15,18 +15,13 @@
 //! (exponential, log-normal, truncated normal) so callers don't each reinvent
 //! inverse-CDF sampling.
 
-use crate::hash::FastMap;
+use crate::hash::{fnv1a, FastMap, FNV_BASIS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// FNV-1a, used only to map labels to seeds (not security sensitive).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+/// The FNV-1a hash of a stream label (not security sensitive).
+fn label_key(label: &str) -> u64 {
+    fnv1a(FNV_BASIS, label.as_bytes())
 }
 
 /// SplitMix64 finalizer: turns correlated inputs into well-mixed seeds.
@@ -57,7 +52,7 @@ impl RngStreams {
 
     /// The stream for `label`, created on first use.
     pub fn stream(&mut self, label: &str) -> &mut SmallRng {
-        let key = fnv1a(label.as_bytes());
+        let key = label_key(label);
         let master = self.master;
         self.streams
             .entry(key)
@@ -66,7 +61,7 @@ impl RngStreams {
 
     /// A stream keyed by label *and* an index (e.g. per-node jitter streams).
     pub fn stream_idx(&mut self, label: &str, idx: u64) -> &mut SmallRng {
-        let key = fnv1a(label.as_bytes()) ^ splitmix64(idx.wrapping_add(1));
+        let key = label_key(label) ^ splitmix64(idx.wrapping_add(1));
         let master = self.master;
         self.streams
             .entry(key)
@@ -87,7 +82,7 @@ impl RngStreams {
 /// their streams from the same master. Same derivation as
 /// [`RngStreams::derive_seed`].
 pub fn derive_seed(master: u64, label: &str, idx: u64) -> u64 {
-    splitmix64(master ^ fnv1a(label.as_bytes()) ^ splitmix64(idx))
+    splitmix64(master ^ label_key(label) ^ splitmix64(idx))
 }
 
 /// Sample an exponential with the given mean (inverse-CDF method).

@@ -1,9 +1,9 @@
 //! The simulation engine.
 //!
-//! [`Sim<W>`] bundles the clock, the event queue, the RNG streams, a trace
-//! sink and the user world `W` into one value, so event handlers — boxed
-//! `FnOnce(&mut Sim<W>)` — can mutate the world *and* schedule further events
-//! without fighting the borrow checker.
+//! [`Sim<W>`] bundles the clock, the event queue, the RNG streams, the
+//! observability spine (metrics and sinks) and the user world `W` into one
+//! value, so event handlers — boxed `FnOnce(&mut Sim<W>)` — can mutate the
+//! world *and* schedule further events without fighting the borrow checker.
 //!
 //! Cancellation uses tombstones inside the [`EventQueue`]: [`Sim::cancel`]
 //! marks a handle dead; when the dead entry surfaces it still advances the
@@ -22,7 +22,6 @@ use crate::queue::EventQueue;
 use crate::rng::RngStreams;
 use crate::span::SpanId;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -103,8 +102,6 @@ pub struct Sim<W> {
     stop_requested: bool,
     /// Named deterministic RNG streams (see [`RngStreams`]).
     pub rng: RngStreams,
-    /// Event trace sink (disabled by default).
-    pub trace: Trace,
     /// Metrics registry fed by [`Sim::emit`] (disabled by default).
     pub metrics: Metrics,
     /// The user world: every model layer keeps its state here.
@@ -121,7 +118,6 @@ impl<W> Sim<W> {
             executed: 0,
             stop_requested: false,
             rng: RngStreams::new(seed),
-            trace: Trace::disabled(),
             metrics: Metrics::disabled(),
             world,
             sinks: Vec::new(),
@@ -141,22 +137,15 @@ impl<W> Sim<W> {
     }
 
     /// Emit a typed observability event (see [`crate::event`]). Fans out to
-    /// the metrics registry, the legacy string trace (only for events that
-    /// carry a [`Event::trace_category`], rendering their byte-identical
-    /// legacy message), and every attached sink. With everything disabled —
-    /// the default — this is a few branches, which is what keeps the spine
-    /// out of the hot path.
+    /// the metrics registry and every attached sink. With no sink attached
+    /// and metrics disabled — the default — this is two branches, which is
+    /// what keeps the spine out of the hot path.
     pub fn emit(&mut self, ev: Event) {
-        let traced = ev.trace_category().is_some_and(|c| self.trace.wants(c));
-        if !traced && self.sinks.is_empty() && !self.metrics.is_enabled() {
+        if self.sinks.is_empty() && !self.metrics.is_enabled() {
             return;
         }
         let now = self.now;
         self.metrics.record(&ev);
-        if traced {
-            let cat = ev.trace_category().expect("checked above");
-            self.trace.emit(now, cat, ev.to_string());
-        }
         for s in &self.sinks {
             s.borrow_mut().on_event(now, &ev);
         }
@@ -423,23 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn emit_routes_legacy_events_into_the_trace_byte_identically() {
-        use crate::event::{Event, FaultEvent};
-        let mut sim = Sim::new(World::default(), 1);
-        sim.trace = Trace::enabled(16).with_categories(&["fault"]);
-        sim.schedule_at(SimTime(100), |s| {
-            s.emit(Event::Fault(FaultEvent::CtrlDropped { node: 3 }));
-        });
-        sim.run_to_completion(10);
-        let recs: Vec<_> = sim.trace.records().collect();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].time, SimTime(100));
-        assert_eq!(recs[0].category, "fault");
-        assert_eq!(recs[0].message, "control msg to NodeId(3) dropped");
-    }
-
-    #[test]
-    fn emit_skips_the_trace_for_typed_only_events_but_feeds_sinks() {
+    fn emit_feeds_metrics_and_sinks() {
         use crate::event::{Event, RmEvent};
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -453,7 +426,6 @@ mod tests {
         }
 
         let mut sim = Sim::new(World::default(), 1);
-        sim.trace = Trace::enabled(16);
         sim.metrics = Metrics::enabled();
         let rec = Rc::new(RefCell::new(Recorder::default()));
         sim.attach_sink(rec.clone());
@@ -461,10 +433,6 @@ mod tests {
             s.emit(Event::Rm(RmEvent::JobQueued { job: 7 }));
         });
         sim.run_to_completion(10);
-        assert!(
-            sim.trace.is_empty(),
-            "typed-only events must not hit the ring"
-        );
         assert_eq!(sim.metrics.counter("rm.job_queued"), 1);
         assert_eq!(rec.borrow().0, vec![(SimTime(5), "rm.job_queued")]);
     }
@@ -474,7 +442,6 @@ mod tests {
         use crate::event::{Event, TcpEvent};
         let mut sim = Sim::new(World::default(), 1);
         sim.emit(Event::Tcp(TcpEvent::Retransmit { ep: 0 }));
-        assert!(sim.trace.is_empty());
         assert!(sim.metrics.snapshot().is_empty());
     }
 

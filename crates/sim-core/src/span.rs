@@ -26,6 +26,7 @@
 //! [`SpanChecker::digest`] replay test depends on that.
 
 use crate::event::{Event, SpanEvent};
+use crate::hash::{fnv1a, FNV_BASIS};
 use crate::sim::EventSink;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
@@ -69,11 +70,110 @@ pub fn name_from_str(s: &str) -> Option<&'static str> {
     SPAN_NAMES.iter().find(|n| **n == s).copied()
 }
 
-#[derive(Clone, Copy, Debug)]
-struct OpenSpan {
-    parent: u64,
-    name: &'static str,
-    open_children: u32,
+/// One span in a [`SpanTree`], as recorded when it opened.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub id: u64,
+    /// The parent named at open (0 for a root), whether or not it was open.
+    pub parent: u64,
+    pub name: &'static str,
+    pub arg: u64,
+    pub start: SimTime,
+    /// Id of the root of this span's tree: its own id when it opened as a
+    /// root or under a parent that was not open.
+    pub root: u64,
+    /// Children opened under this span and not yet closed.
+    pub open_children: u32,
+}
+
+/// A span that [`SpanTree::close`] took off the tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ClosedSpan {
+    /// The span as it stood at close; `open_children > 0` means it closed
+    /// before some of its children did.
+    pub span: Span,
+    pub end: SimTime,
+}
+
+/// A structural fault in a span stream, reported by [`SpanTree`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SpanFault {
+    /// An open named a parent that is not open. The span is recorded
+    /// anyway, as the root of its own tree.
+    UnknownParent,
+    /// A close named an id that is not open. Nothing changes.
+    UnknownClose,
+}
+
+/// The open-span fold every span consumer shares: which spans are open,
+/// under which parent and root, and how many open children each has.
+/// [`SpanChecker`], [`crate::PerfettoTrace`] and [`crate::PhaseAttribution`]
+/// each keep one and differ only in what they do with its answers.
+#[derive(Debug, Default)]
+pub(crate) struct SpanTree {
+    open: BTreeMap<u64, Span>,
+}
+
+impl SpanTree {
+    /// Open span `id` under `parent` (0: a root). An id that is already
+    /// open is replaced.
+    pub fn open(
+        &mut self,
+        start: SimTime,
+        id: u64,
+        parent: u64,
+        name: &'static str,
+        arg: u64,
+    ) -> Result<(), SpanFault> {
+        let mut fault = Ok(());
+        let mut root = id;
+        if parent != 0 {
+            match self.open.get_mut(&parent) {
+                Some(p) => {
+                    p.open_children += 1;
+                    root = p.root;
+                }
+                None => fault = Err(SpanFault::UnknownParent),
+            }
+        }
+        self.open.insert(
+            id,
+            Span {
+                id,
+                parent,
+                name,
+                arg,
+                start,
+                root,
+                open_children: 0,
+            },
+        );
+        fault
+    }
+
+    /// Close span `id` at `end` and return it; its parent, if still open,
+    /// loses one open child.
+    pub fn close(&mut self, end: SimTime, id: u64) -> Result<ClosedSpan, SpanFault> {
+        let span = self.open.remove(&id).ok_or(SpanFault::UnknownClose)?;
+        if let Some(p) = self.open.get_mut(&span.parent) {
+            p.open_children = p.open_children.saturating_sub(1);
+        }
+        Ok(ClosedSpan { span, end })
+    }
+
+    /// Spans still open.
+    pub fn len(&self) -> usize {
+        self.open.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.open.is_empty()
+    }
+
+    /// The open spans in ascending id order.
+    pub fn spans(&self) -> impl Iterator<Item = &Span> {
+        self.open.values()
+    }
 }
 
 /// Checks span-tree well-formedness online and digests the stream for
@@ -85,23 +185,12 @@ struct OpenSpan {
 /// [`SpanChecker::unclosed`] must be zero — every opened span closed.
 #[derive(Debug)]
 pub struct SpanChecker {
-    open: BTreeMap<u64, OpenSpan>,
+    tree: SpanTree,
     seen_ids: u64,
     opened: u64,
     closed: u64,
     violations: Vec<String>,
     digest: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl Default for SpanChecker {
@@ -113,12 +202,12 @@ impl Default for SpanChecker {
 impl SpanChecker {
     pub fn new() -> Self {
         SpanChecker {
-            open: BTreeMap::new(),
+            tree: SpanTree::default(),
             seen_ids: 0,
             opened: 0,
             closed: 0,
             violations: Vec::new(),
-            digest: FNV_OFFSET,
+            digest: FNV_BASIS,
         }
     }
 
@@ -132,7 +221,7 @@ impl SpanChecker {
 
     /// Spans still open — must be 0 at trial end.
     pub fn unclosed(&self) -> usize {
-        self.open.len()
+        self.tree.len()
     }
 
     pub fn violations(&self) -> &[String] {
@@ -152,13 +241,13 @@ impl SpanChecker {
 
     /// One-line report: `ok (N spans)` or the violation/unclosed counts.
     pub fn report(&self) -> String {
-        if self.violations.is_empty() && self.open.is_empty() {
+        if self.violations.is_empty() && self.tree.is_empty() {
             format!("ok ({} spans opened+closed)", self.opened)
         } else {
             format!(
                 "{} violation(s), {} unclosed of {} opened",
                 self.violations.len(),
-                self.open.len(),
+                self.tree.len(),
                 self.opened
             )
         }
@@ -175,12 +264,16 @@ impl EventSink for SpanChecker {
                 name,
                 arg,
             } => {
-                self.digest = fnv(self.digest, &time.nanos().to_le_bytes());
-                self.digest = fnv(self.digest, &[0u8]);
-                self.digest = fnv(self.digest, &id.to_le_bytes());
-                self.digest = fnv(self.digest, &parent.to_le_bytes());
-                self.digest = fnv(self.digest, name.as_bytes());
-                self.digest = fnv(self.digest, &arg.to_le_bytes());
+                for bytes in [
+                    &time.nanos().to_le_bytes()[..],
+                    &[0u8],
+                    &id.to_le_bytes(),
+                    &parent.to_le_bytes(),
+                    name.as_bytes(),
+                    &arg.to_le_bytes(),
+                ] {
+                    self.digest = fnv1a(self.digest, bytes);
+                }
                 self.opened += 1;
                 if id == 0 || id <= self.seen_ids {
                     self.violations
@@ -188,43 +281,25 @@ impl EventSink for SpanChecker {
                 } else {
                     self.seen_ids = id;
                 }
-                if parent != 0 {
-                    match self.open.get_mut(&parent) {
-                        Some(p) => p.open_children += 1,
-                        None => self
-                            .violations
-                            .push(format!("span {id} ({name}): parent {parent} is not open")),
-                    }
+                if self.tree.open(time, id, parent, name, arg).is_err() {
+                    self.violations
+                        .push(format!("span {id} ({name}): parent {parent} is not open"));
                 }
-                self.open.insert(
-                    id,
-                    OpenSpan {
-                        parent,
-                        name,
-                        open_children: 0,
-                    },
-                );
             }
             SpanEvent::Close { id } => {
-                self.digest = fnv(self.digest, &time.nanos().to_le_bytes());
-                self.digest = fnv(self.digest, &[1u8]);
-                self.digest = fnv(self.digest, &id.to_le_bytes());
+                for bytes in [&time.nanos().to_le_bytes()[..], &[1u8], &id.to_le_bytes()] {
+                    self.digest = fnv1a(self.digest, bytes);
+                }
                 self.closed += 1;
-                match self.open.remove(&id) {
-                    Some(s) => {
-                        if s.open_children > 0 {
-                            self.violations.push(format!(
-                                "span {id} ({}): closed with {} open child(ren)",
-                                s.name, s.open_children
-                            ));
-                        }
-                        if s.parent != 0 {
-                            if let Some(p) = self.open.get_mut(&s.parent) {
-                                p.open_children = p.open_children.saturating_sub(1);
-                            }
-                        }
+                match self.tree.close(time, id) {
+                    Ok(ClosedSpan { span: s, .. }) if s.open_children > 0 => {
+                        self.violations.push(format!(
+                            "span {id} ({}): closed with {} open child(ren)",
+                            s.name, s.open_children
+                        ))
                     }
-                    None => self
+                    Ok(_) => {}
+                    Err(_) => self
                         .violations
                         .push(format!("span {id}: closed but never opened")),
                 }
@@ -234,8 +309,8 @@ impl EventSink for SpanChecker {
 
     fn findings(&self) -> Vec<String> {
         let mut v = self.violations.clone();
-        for (id, s) in &self.open {
-            v.push(format!("span {id} ({}): never closed", s.name));
+        for s in self.tree.spans() {
+            v.push(format!("span {} ({}): never closed", s.id, s.name));
         }
         v
     }
@@ -265,6 +340,28 @@ mod tests {
         for (t, e) in evs {
             c.on_event(*t, e);
         }
+    }
+
+    #[test]
+    fn tree_tracks_roots_open_children_and_faults() {
+        let mut t = SpanTree::default();
+        assert_eq!(t.open(SimTime(0), 1, 0, "lsc.round", 0), Ok(()));
+        assert_eq!(t.open(SimTime(1), 2, 1, "vmm.save", 0), Ok(()));
+        assert_eq!(t.open(SimTime(2), 3, 2, "storage.write", 0), Ok(()));
+        assert_eq!(
+            t.open(SimTime(2), 4, 9, "lsc.dispatch", 0),
+            Err(SpanFault::UnknownParent)
+        );
+        let c = t.close(SimTime(3), 2).unwrap();
+        assert_eq!(
+            (c.span.root, c.span.open_children, c.span.start, c.end),
+            (1, 1, SimTime(1), SimTime(3))
+        );
+        let open: Vec<_> = t.spans().map(|s| (s.id, s.root)).collect();
+        assert_eq!(open, [(1, 1), (3, 1), (4, 4)]);
+        assert_eq!(t.close(SimTime(4), 2), Err(SpanFault::UnknownClose));
+        assert_eq!(t.close(SimTime(4), 1).unwrap().span.open_children, 0);
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

@@ -11,75 +11,7 @@
 //! so campaign output is identical whatever the thread count — determinism
 //! survives parallelism.
 
-use crate::trace::TraceStats;
-use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Aggregated trace accounting for a whole campaign: per-category event
-/// totals plus how many records fell out of the bounded rings. Experiments
-/// fold one [`TraceStats`] per trial into this and print it under the
-/// results table, so fault-injection volume (and any trace loss) is visible
-/// alongside the outcomes it produced.
-#[derive(Clone, Debug, Default)]
-pub struct CampaignSummary {
-    pub trials: usize,
-    pub dropped: u64,
-    pub by_category: BTreeMap<&'static str, u64>,
-}
-
-impl CampaignSummary {
-    pub fn absorb(&mut self, stats: &TraceStats) {
-        self.trials += 1;
-        self.dropped += stats.dropped;
-        for (&cat, &n) in &stats.by_category {
-            *self.by_category.entry(cat).or_insert(0) += n;
-        }
-    }
-
-    pub fn total_events(&self) -> u64 {
-        self.by_category.values().sum()
-    }
-
-    /// An explicit warning line when the bounded trace rings evicted
-    /// records during the campaign — per-category counts above are still
-    /// exact (eviction drops retained records, not accounting), but any
-    /// per-record forensics would be working from an incomplete ring.
-    pub fn dropped_warning(&self) -> Option<String> {
-        (self.dropped > 0).then(|| {
-            format!(
-                "warning: trace rings evicted {} record(s) across {} trials; \
-                 raise `Trace` capacity or narrow its categories for full-fidelity rings",
-                self.dropped, self.trials
-            )
-        })
-    }
-}
-
-impl fmt::Display for CampaignSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "trace: {} events across {} trials",
-            self.total_events(),
-            self.trials
-        )?;
-        if !self.by_category.is_empty() {
-            write!(f, " (")?;
-            for (i, (cat, n)) in self.by_category.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{cat}: {n}")?;
-            }
-            write!(f, ")")?;
-        }
-        if self.dropped > 0 {
-            write!(f, "; {} records dropped by ring bound", self.dropped)?;
-        }
-        Ok(())
-    }
-}
 
 /// Run `f(trial_index, seed)` for `n_trials` trials in parallel, deriving the
 /// seed of trial *i* as `splitmix64(master_seed ⊕ splitmix64(i))`.
@@ -155,36 +87,6 @@ mod tests {
         uniq.sort_unstable();
         uniq.dedup();
         assert_eq!(uniq.len(), a.len());
-    }
-
-    #[test]
-    fn campaign_summary_aggregates_trace_stats() {
-        use crate::trace::Trace;
-        let stats: Vec<TraceStats> = run_trials(6, 11, 3, |i, _seed| {
-            let mut t = Trace::enabled(2);
-            for k in 0..=i as u64 {
-                t.emit(crate::time::SimTime(k), "fault", format!("f{k}"));
-            }
-            t.emit(crate::time::SimTime(0), "lsc", "x".into());
-            t.stats()
-        });
-        let mut summary = CampaignSummary::default();
-        for s in &stats {
-            summary.absorb(s);
-        }
-        assert_eq!(summary.trials, 6);
-        // 1+2+3+4+5+6 fault emits, 6 lsc emits.
-        assert_eq!(summary.by_category.get("fault"), Some(&21));
-        assert_eq!(summary.by_category.get("lsc"), Some(&6));
-        assert_eq!(summary.total_events(), 27);
-        // ring capacity 2 → later trials dropped records, and we can see it
-        assert!(summary.dropped > 0);
-        let text = summary.to_string();
-        assert!(text.contains("fault: 21"), "{text}");
-        assert!(text.contains("dropped"), "{text}");
-        let warn = summary.dropped_warning().expect("rings evicted records");
-        assert!(warn.contains("evicted"), "{warn}");
-        assert_eq!(CampaignSummary::default().dropped_warning(), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::guest::GuestOs;
 use crate::mem::GuestMem;
-use dvc_sim_core::{SimDuration, SimTime};
+use dvc_sim_core::{fnv1a, SimDuration, SimTime, FNV_BASIS};
 
 /// A domain identifier, unique across the whole simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -208,21 +208,17 @@ impl VmImage {
     /// Checksum over the image's logical content (FNV-1a over the identity
     /// and guest-visible state — a stand-in for hashing the memory pages).
     pub fn content_checksum(&self) -> u64 {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |x: u64| {
-            for b in x.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.vm.0 as u64);
-        mix(self.mem_mb as u64);
-        mix(self.vcpus as u64);
-        mix(self.taken_at.nanos());
-        mix(self.guest.kmsg.len() as u64);
-        mix(self.guest.mem.version());
-        mix(self.guest.mem.resident_pages() as u64);
-        h
+        [
+            self.vm.0 as u64,
+            self.mem_mb as u64,
+            self.vcpus as u64,
+            self.taken_at.nanos(),
+            self.guest.kmsg.len() as u64,
+            self.guest.mem.version(),
+            self.guest.mem.resident_pages() as u64,
+        ]
+        .iter()
+        .fold(FNV_BASIS, |h, x| fnv1a(h, &x.to_le_bytes()))
     }
 
     /// True when the stored copy still matches its content.

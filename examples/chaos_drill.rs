@@ -6,16 +6,37 @@
 //! faults, a 2-minute NTP outage with a clock step mid-way, a storage
 //! brownout, a control partition of one member — and one VC host simply
 //! crashes. The job finishes anyway, with verified data; the fault
-//! timeline below is reconstructed from the simulation trace, so the whole
+//! timeline below is rebuilt from the typed event stream, so the whole
 //! incident is auditable after the fact.
 //!
 //! Run: `cargo run --release --example chaos_drill`
 
 use dvc_suite::prelude::*;
 use dvc_suite::scenarios::{self, Testbed};
-use dvc_suite::sim_core::trace::Trace;
-use dvc_suite::sim_core::FaultPlan;
+use dvc_suite::sim_core::{Event, EventSink, FaultEvent, FaultPlan, NtpEvent};
 use dvc_suite::{cluster, dvc, mpi, workloads};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+/// Records the fault-plane, storage and NTP events the timeline reports.
+#[derive(Default)]
+struct Timeline(Vec<(SimTime, Event)>);
+
+impl EventSink for Timeline {
+    fn on_event(&mut self, time: SimTime, event: &Event) {
+        if matches!(event, Event::Fault(_) | Event::Storage(_) | Event::Ntp(_)) {
+            self.0.push((time, event.clone()));
+        }
+    }
+}
+
+/// `[t] key {fields}`, the fields taken from the event's JSONL record.
+fn line(time: SimTime, event: &Event) -> String {
+    let json = event.jsonl(time);
+    // `{"t":…,"key":…,fields…}`: keep what follows the first two members.
+    let fields = json.splitn(3, ',').nth(2).unwrap_or("}");
+    format!("   [{time}] {} {{{fields}", event.key())
+}
 
 fn main() {
     let seed = 1337;
@@ -24,7 +45,8 @@ fn main() {
         seed,
         ..Testbed::default()
     });
-    sim.trace = Trace::enabled(4096).with_categories(&["fault", "rel", "lsc"]);
+    let timeline = Rc::new(RefCell::new(Timeline::default()));
+    sim.attach_sink(timeline.clone());
 
     let hosts: Vec<NodeId> = (1..=4).map(NodeId).collect();
     let mut spec = VcSpec::new("drill-vc", 4, 64);
@@ -76,23 +98,27 @@ fn main() {
         mpi::harness::all_done(sim, &job)
     });
 
-    // --- the incident timeline, from the trace ---------------------------
-    println!("\n== fault timeline (from the simulation trace):");
+    // --- the incident timeline, from the typed events --------------------
+    println!("\n== fault timeline (from the typed event stream):");
+    let timeline = timeline.borrow();
     let mut ntp_suppressed = 0u64;
-    for r in sim.trace.in_category("fault") {
-        // The outage spams one record per unanswered poll; summarize those.
-        if r.message.contains("ntp request") {
-            ntp_suppressed += 1;
-            continue;
+    let mut stale = Vec::new();
+    for (t, ev) in &timeline.0 {
+        match ev {
+            // The outage spams one event per unanswered poll; summarize those.
+            Event::Ntp(NtpEvent::Unanswered { .. }) => ntp_suppressed += 1,
+            Event::Ntp(NtpEvent::SyncStale { .. }) => stale.push(line(*t, ev)),
+            // Tallied per kind below.
+            Event::Fault(FaultEvent::Injected { .. }) => {}
+            _ => println!("{}", line(*t, ev)),
         }
-        println!("   [{}] {}", r.time, r.message);
     }
     if ntp_suppressed > 0 {
         println!("   (+ {ntp_suppressed} unanswered NTP polls during the outage)");
     }
     println!("== reliability events:");
-    for r in sim.trace.in_category("rel") {
-        println!("   [{}] {}", r.time, r.message);
+    for l in &stale {
+        println!("{l}");
     }
     let injected: Vec<String> = sim
         .world
