@@ -33,10 +33,10 @@ pub struct Opts {
     pub scale: f64,
     pub seed: u64,
     pub threads: usize,
-    /// Attach [`dvc_sim_core::InvariantChecker`] sinks to every trial and
-    /// fail the run on any violation (hardened arms must stay clean;
-    /// baseline arms under injected clock faults report their violations
-    /// as detections).
+    /// Attach [`dvc_sim_core::InvariantChecker`] sinks to every trial of
+    /// E3 and E13 and fail the run on any violation (E3 and E13's hardened
+    /// arm must stay clean; E13's baseline arm under injected clock faults
+    /// reports its violations as detections). Other experiments ignore it.
     pub check_invariants: bool,
 }
 

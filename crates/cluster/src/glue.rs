@@ -169,15 +169,13 @@ pub fn save_vm_in(
         return;
     }
     v.state = VmState::Saving;
-    let dirty = v.guest.mem.dirty_pages() as u64;
-    let total = v.guest.mem.total_pages() as u64;
     let mut image = v.snapshot(now);
     let bytes = image.size_bytes();
     sim.emit(Event::Vmm(VmmEvent::SnapshotBegin { vm: vm.0 }));
     sim.emit(Event::Vmm(VmmEvent::PagesDirty {
         vm: vm.0,
-        dirty,
-        total,
+        dirty: 0,
+        total: bytes / (64 * 1024),
     }));
     sim.emit(Event::Vmm(VmmEvent::SnapshotEnd { vm: vm.0, bytes }));
     storage::note_bytes(sim, bytes);

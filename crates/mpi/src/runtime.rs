@@ -618,7 +618,6 @@ mod tests {
                 udp: &mut os.udp,
                 disk: &mut os.disk,
                 kmsg: &mut os.kmsg,
-                mem: &mut os.mem,
             };
             rt.pump_io(&mut ctx).expect("pump");
         };

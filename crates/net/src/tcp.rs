@@ -272,7 +272,7 @@ struct Socket {
     ooo: BTreeMap<u32, Bytes>,
     /// In-order bytes ready for the application. Arriving payload `Bytes`
     /// are chained here without copying; the application drains via
-    /// [`TcpStack::recv_bytes`] (zero-copy) or [`TcpStack::recv_into`].
+    /// [`TcpStack::recv_into`].
     recv_q: ByteQueue,
     /// We saw the peer's FIN (already consumed into rcv_nxt).
     peer_fin: bool,
@@ -558,8 +558,7 @@ impl TcpStack {
     }
 
     /// Read up to `max` ready bytes. One copy (queue → fresh `Vec`);
-    /// [`TcpStack::recv_into`] reuses a caller buffer and
-    /// [`TcpStack::recv_bytes`] avoids the copy entirely.
+    /// [`TcpStack::recv_into`] reuses a caller buffer.
     pub fn recv(&mut self, now: LocalNs, sock: SockId, max: usize) -> Vec<u8> {
         let mut data = Vec::new();
         self.recv_into(now, sock, &mut data, max);
@@ -571,7 +570,7 @@ impl TcpStack {
     /// Returns the number of bytes appended.
     pub fn recv_into(
         &mut self,
-        now: LocalNs,
+        _now: LocalNs,
         sock: SockId,
         out: &mut Vec<u8>,
         max: usize,
@@ -580,28 +579,7 @@ impl TcpStack {
             return 0;
         };
         let n = s.recv_q.pop_into(out, max);
-        self.after_recv(now, sock, n);
-        n
-    }
-
-    /// Read up to `max` ready bytes as one shared chunk, copy-free when the
-    /// front of the queue is a whole arrived segment.
-    pub fn recv_bytes(&mut self, now: LocalNs, sock: SockId, max: usize) -> Bytes {
-        let Some(s) = self.sockets.get_mut(&sock) else {
-            return Bytes::new();
-        };
-        let data = s.recv_q.pop_bytes(max);
-        self.after_recv(now, sock, data.len());
-        data
-    }
-
-    /// Post-drain bookkeeping shared by the `recv*` family: if our
-    /// advertised window had collapsed to zero, reopen it actively.
-    fn after_recv(&mut self, now: LocalNs, sock: SockId, n: usize) {
-        let _ = now;
-        let Some(s) = self.sockets.get_mut(&sock) else {
-            return;
-        };
+        // If our advertised window had collapsed to zero, reopen it actively.
         if s.wnd_was_closed && n > 0 {
             s.wnd_was_closed = false;
             if s.remote.is_some() {
@@ -609,6 +587,7 @@ impl TcpStack {
                 self.emit_segment(sock, seq, TcpFlags::ACK, Bytes::new());
             }
         }
+        n
     }
 
     /// Bytes ready to read without blocking.

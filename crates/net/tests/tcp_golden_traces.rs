@@ -11,11 +11,12 @@
 //! Regenerate (after an *intentional* behavior change only):
 //! `DUMP_TCP_GOLDEN=1 cargo test -p dvc-net --test tcp_golden_traces -- --nocapture`
 
+use bytes::Bytes;
 use dvc_net::fabric::LinkParams;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig};
 use dvc_net::testkit::{drain, local_now, run_until, DropRule, TestWorld};
-use dvc_sim_core::{fnv1a, Sim, SimTime, FNV_BASIS};
+use dvc_sim_core::{fnv1a, Sim, SimStats, SimTime, FNV_BASIS};
 
 const A: usize = 0;
 const B: usize = 1;
@@ -282,4 +283,71 @@ fn golden_fin_teardown() {
     });
     let log = sim.world.seg_log.clone();
     check_golden("fin_teardown", &log, 9, 0x9c04fb71d8dca7ad);
+}
+
+/// Stream `total` bytes A→B as an application would: 64 KiB `send_bytes`
+/// chunks in, MSS-sized `recv_into` reads out. Returns the finished sim so
+/// a test can read its engine counters.
+fn stream(link: LinkParams, cfg: TcpConfig, loss: f64, total: usize) -> Sim<TestWorld> {
+    let mut sim = Sim::new(TestWorld::new(2, link.with_loss(loss), cfg), 9);
+    let (sa, sb) = establish(&mut sim);
+    let chunk = Bytes::from(vec![0xA5u8; 64 * 1024]);
+    let mut buf = Vec::with_capacity(cfg.mss);
+    let (mut sent, mut received) = (0, 0);
+    while received < total {
+        if sent < total {
+            let now = local_now(&sim);
+            let n = sim.world.hosts[A].tcp.send_bytes(now, sa, chunk.clone());
+            sent += n;
+            if n > 0 {
+                drain(&mut sim, A);
+            }
+        }
+        if sim.world.hosts[B].tcp.readable_bytes(sb) > 0 {
+            let now = local_now(&sim);
+            buf.clear();
+            received += sim.world.hosts[B].tcp.recv_into(now, sb, &mut buf, cfg.mss);
+            drain(&mut sim, B);
+        }
+        if received < total {
+            assert!(sim.step(), "stalled at {received}/{total}");
+        }
+    }
+    sim
+}
+
+/// Engine work of a 4 MiB bulk stream over the campus-WAN profile with
+/// jumbo frames and 1 MiB buffers, where the window fills the
+/// bandwidth-delay product. The counts are exact: any change means the
+/// data plane schedules different work.
+#[test]
+fn bulk_stream_work_counts() {
+    let cfg = TcpConfig {
+        mss: 8960,
+        send_buf: 1 << 20,
+        recv_buf: 1 << 20,
+        ..TcpConfig::default()
+    };
+    let sim = stream(LinkParams::campus_wan(), cfg, 0.0, 4 << 20);
+    let want = SimStats {
+        scheduled: 2751,
+        executed: 1896,
+        noop_pops: 0,
+        peak_queue_depth: 855,
+    };
+    assert_eq!(sim.stats(), want);
+}
+
+/// Engine work of a 1 MiB stream over the LAN at 1 % loss: retransmit
+/// timers are re-armed and cancelled, so tombstone pops are pinned too.
+#[test]
+fn lossy_stream_work_counts() {
+    let sim = stream(LinkParams::gige_lan(), TcpConfig::default(), 0.01, 1 << 20);
+    let want = SimStats {
+        scheduled: 7538,
+        executed: 5532,
+        noop_pops: 1708,
+        peak_queue_depth: 511,
+    };
+    assert_eq!(sim.stats(), want);
 }

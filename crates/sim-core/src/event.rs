@@ -85,7 +85,10 @@ pub enum VmmEvent {
         vm: u32,
         bytes: u64,
     },
-    /// Dirty-page census at snapshot time (before the dirty set resets).
+    /// Page census at snapshot time. Images are size-only, so `dirty` is
+    /// always 0 and `total` is the image size in 64 KiB pages. The event
+    /// stays because exported `EVENTS_*.jsonl` streams and recorded
+    /// event-stream digests include it.
     PagesDirty {
         vm: u32,
         dirty: u64,

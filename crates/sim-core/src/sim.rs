@@ -66,19 +66,6 @@ pub struct SimStats {
     pub peak_queue_depth: u64,
 }
 
-impl SimStats {
-    /// Fraction of pops that were dead on arrival. High values mean some
-    /// component is flooding the heap with events it then abandons.
-    pub fn noop_ratio(&self) -> f64 {
-        let pops = self.executed + self.noop_pops;
-        if pops == 0 {
-            0.0
-        } else {
-            self.noop_pops as f64 / pops as f64
-        }
-    }
-}
-
 type BoxedEvent<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 
 /// Why [`Sim::run`] stopped.
@@ -361,7 +348,6 @@ mod tests {
         assert_eq!(st.executed, 2);
         assert_eq!(st.noop_pops, 6);
         assert_eq!(st.peak_queue_depth, 8);
-        assert!((st.noop_ratio() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! machine polled by the host glue — and keep all of their state in `self`,
 //! which makes them checkpoint for free.
 
-use crate::mem::GuestMem;
 use dvc_net::tcp::{LocalNs, TcpStack};
 use dvc_net::udp::UdpStack;
 use dvc_net::Addr;
@@ -55,9 +54,6 @@ pub struct GuestCtx<'a> {
     pub udp: &'a mut UdpStack,
     pub disk: &'a mut VirtDisk,
     pub kmsg: &'a mut Vec<KmsgEntry>,
-    /// Guest physical memory (COW pages; see [`crate::mem`]). Writes here
-    /// are what make the next checkpoint pay for dirty pages.
-    pub mem: &'a mut GuestMem,
 }
 
 /// A resumable guest application. `poll` is called whenever the process is
@@ -189,9 +185,6 @@ pub struct GuestOs {
     pub kmsg: Vec<KmsgEntry>,
     pub watchdog: Watchdog,
     pub disk: VirtDisk,
-    /// Guest physical memory. Sized by [`crate::vm::Vm::new`] (a bare
-    /// `GuestOs` starts with a zero-page footprint).
-    pub mem: GuestMem,
     /// Wall-clock instant at which the guest was suspended (part of the
     /// snapshot). On resume, in-progress compute slices are shifted by the
     /// suspension length — a paused vCPU does no work — while wall-clock
@@ -209,8 +202,7 @@ impl GuestOs {
             procs: Vec::new(),
             kmsg: Vec::new(),
             watchdog: Watchdog::new(30_000_000_000), // 30 s period
-            mem: GuestMem::new(0),
-            disk: VirtDisk::new(80.0e6), // 80 MB/s scratch disk
+            disk: VirtDisk::new(80.0e6),             // 80 MB/s scratch disk
             suspended_at: None,
         }
     }
@@ -264,7 +256,6 @@ impl GuestOs {
             procs,
             kmsg,
             disk,
-            mem,
             ..
         } = self;
         let proc = procs.get_mut(idx)?;
@@ -277,7 +268,6 @@ impl GuestOs {
             udp,
             disk,
             kmsg,
-            mem,
         };
         let poll = proc.app.poll(&mut ctx);
         proc.state = match &poll {

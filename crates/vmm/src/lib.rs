@@ -26,16 +26,16 @@
 //!   overhead, the comparison the paper's §4 flags as future work.
 //! * **Save/restore cost**: image size = guest memory footprint; the time to
 //!   save/restore is the storage transfer time, modelled by `dvc-cluster`'s
-//!   shared-storage fair-share model.
+//!   shared-storage fair-share model. Memory is size-only: the image carries
+//!   the guest's footprint in bytes, not page contents, since the paper saves
+//!   all guest memory every time and no workload's result lives in it.
 //! * [`migrate`]: a pre-copy live-migration cost model (rounds of dirty-page
 //!   transfer), the "extending LSC to enable parallel migration" future-work
 //!   item.
 
 pub mod guest;
-pub mod mem;
 pub mod migrate;
 pub mod vm;
 
 pub use guest::{GuestCtx, GuestOs, GuestProc, KmsgEntry, ProcPoll, ProcState, VirtDisk, Watchdog};
-pub use mem::{GuestMem, MemImage};
 pub use vm::{OverheadProfile, Vm, VmId, VmImage, VmState};

@@ -1,7 +1,6 @@
 //! Virtual machine domains: lifecycle, overhead profiles, snapshots.
 
 use crate::guest::GuestOs;
-use crate::mem::GuestMem;
 use dvc_sim_core::{fnv1a, SimDuration, SimTime, FNV_BASIS};
 
 /// A domain identifier, unique across the whole simulation.
@@ -89,12 +88,8 @@ impl Vm {
         mem_mb: u32,
         vcpus: u32,
         overhead: OverheadProfile,
-        mut guest: GuestOs,
+        guest: GuestOs,
     ) -> Self {
-        // The domain provisions the guest's physical memory footprint.
-        if guest.mem.mem_mb() != mem_mb {
-            guest.mem = GuestMem::new(mem_mb);
-        }
         Vm {
             id,
             mem_mb,
@@ -129,13 +124,11 @@ impl Vm {
         self.pause_count += 1;
     }
 
-    /// Take a snapshot of the paused domain. O(dirty): the guest's memory
-    /// pages are shared with the image (`Arc` clones, no byte copies) and
-    /// the dirty set is reset, so the only bytes ever duplicated are the
-    /// COW faults on pages the guest writes *after* this call. The *time*
-    /// cost (serializing `image_bytes()` to storage) is still modelled by
-    /// the caller against the storage subsystem.
-    pub fn snapshot(&mut self, taken_at: SimTime) -> VmImage {
+    /// Take a snapshot of the paused domain: a clone of the guest state.
+    /// Memory is size-only — the image stands for `image_bytes()` of guest
+    /// memory, and the *time* cost of serializing those bytes to storage is
+    /// modelled by the caller against the storage subsystem.
+    pub fn snapshot(&self, taken_at: SimTime) -> VmImage {
         debug_assert!(
             matches!(self.state, VmState::Paused | VmState::Saving),
             "snapshot of a running domain would be inconsistent"
@@ -149,7 +142,6 @@ impl Vm {
             taken_at,
             stored_checksum: 0,
         };
-        self.guest.mem.clear_dirty();
         img.stored_checksum = img.content_checksum();
         img
     }
@@ -214,8 +206,6 @@ impl VmImage {
             self.vcpus as u64,
             self.taken_at.nanos(),
             self.guest.kmsg.len() as u64,
-            self.guest.mem.version(),
-            self.guest.mem.resident_pages() as u64,
         ]
         .iter()
         .fold(FNV_BASIS, |h, x| fnv1a(h, &x.to_le_bytes()))

@@ -199,7 +199,6 @@ fn factor_panel(data: &mut RankData, rank: usize, size: usize) {
         _ => panic!("A missing"),
     };
     let mut piv_new = vec![0u64; nb];
-    let ncols = a.len() / n;
 
     for (jj, piv_slot) in piv_new.iter_mut().enumerate() {
         let j = j0 + jj;
@@ -216,9 +215,11 @@ fn factor_panel(data: &mut RankData, rank: usize, size: usize) {
             }
         }
         *piv_slot = p as u64;
-        // Swap rows j <-> p across ALL local columns.
+        // Swap rows j <-> p across the panel's columns; `apply_panel`
+        // swaps every other local column.
         if p != j {
-            for c in 0..ncols {
+            for jj2 in 0..nb {
+                let c = local_col(n, nb, size, rank, j0 + jj2).unwrap();
                 a.swap(c * n + j, c * n + p);
             }
         }

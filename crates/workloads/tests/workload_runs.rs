@@ -22,7 +22,15 @@ fn horizon() -> SimTime {
 
 #[test]
 fn distributed_hpl_verifies_residual() {
-    for (n, nb, ranks) in [(64, 8, 4), (96, 8, 3), (128, 16, 4)] {
+    // The n=256 shapes give each rank several panels and do swap rows,
+    // which is what exposed pivots applied twice to the owner's columns.
+    for (n, nb, ranks, pivots) in [
+        (64, 8, 4, false),
+        (96, 8, 3, false),
+        (128, 16, 4, false),
+        (256, 16, 8, true),
+        (256, 16, 4, true),
+    ] {
         let mut s = sim(ranks);
         let nodes = s.world.node_ids();
         let cfg = hpl::HplConfig::new(n, nb, 99);
@@ -36,6 +44,14 @@ fn distributed_hpl_verifies_residual() {
             assert!(
                 res.is_finite() && res < 1e-10,
                 "n={n} ranks={ranks} rank {r}: residual {res}"
+            );
+        }
+        if pivots {
+            let piv = harness::rank(&s, &job, 0).data.get("piv");
+            let piv = piv.and_then(|v| v.as_u64_vec()).expect("piv");
+            assert!(
+                piv.iter().enumerate().any(|(j, &p)| p != j as u64),
+                "n={n} nb={nb} ranks={ranks}: no row was ever swapped"
             );
         }
         // Both markers present → self-reported runtime is measurable.
