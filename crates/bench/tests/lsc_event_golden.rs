@@ -13,10 +13,21 @@
 //! `DUMP_LSC_EVENT_GOLDEN=1 cargo test -p dvc-bench --test lsc_event_golden -- --nocapture`
 //!
 //! and paste the printed digest/line-count into the test.
+//!
+//! A second table pins every coordinator path under one fault: the four
+//! checkpoint methods under control-plane loss (save watchdog, save
+//! abort/re-arm, resume re-arm and give-up), a restore onto spares and a
+//! live migration. Each row pins the digest of the full `jsonl` event
+//! stream, `Sim::stats()` and the outcomes, so a refactor of the
+//! coordinators that moves one RNG draw or one scheduled event shows here.
 
-use dvc_bench::scen::{ring_load, run_cycles, settle, TrialWorld};
-use dvc_core::lsc::LscMethod;
-use dvc_sim_core::{fnv1a, Event, EventSink, SimDuration, SimTime, FNV_BASIS};
+use dvc_bench::scen::{ring_load, run_cycles, run_until, settle, TrialWorld};
+use dvc_cluster::faults::install_fault_plan;
+use dvc_cluster::node::NodeId;
+use dvc_cluster::world::ClusterWorld;
+use dvc_core::lsc::{restore_vc, LscMethod, RestoreOutcome};
+use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
+use dvc_sim_core::{fnv1a, Event, EventSink, FaultPlan, Sim, SimDuration, SimTime, FNV_BASIS};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -112,3 +123,245 @@ fn same_seed_same_event_stream() {
 
 /// Pinned (line count, FNV-1a digest) for seed 42.
 const GOLDEN: (usize, u64) = (54, 0x6e5655edb97c0719);
+
+// ---------------------------------------------------------------------
+// Coordinator path table
+// ---------------------------------------------------------------------
+
+/// Records the `jsonl` line of every event (all families, not just LSC).
+#[derive(Default)]
+struct JsonlRecorder {
+    lines: Vec<String>,
+}
+
+impl EventSink for JsonlRecorder {
+    fn on_event(&mut self, time: SimTime, event: &Event) {
+        self.lines.push(event.jsonl(time));
+    }
+}
+
+/// What one coordinator row pins: the full event stream (line count and
+/// digest), the engine's work counts, and the outcomes the row reports.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    lines: usize,
+    digest: u64,
+    /// `Sim::stats()`: scheduled / executed / noop pops / peak queue depth.
+    stats: (u64, u64, u64, u64),
+    outcomes: String,
+}
+
+fn recorded(sim: &mut Sim<ClusterWorld>) -> Rc<RefCell<JsonlRecorder>> {
+    let rec = Rc::new(RefCell::new(JsonlRecorder::default()));
+    sim.attach_sink(rec.clone());
+    rec
+}
+
+fn pin(sim: &Sim<ClusterWorld>, rec: &RefCell<JsonlRecorder>, outcomes: String) -> Pinned {
+    let lines = &rec.borrow().lines;
+    let s = sim.stats();
+    Pinned {
+        lines: lines.len(),
+        digest: fnv64(lines),
+        stats: (s.scheduled, s.executed, s.noop_pops, s.peak_queue_depth),
+        outcomes,
+    }
+}
+
+/// One coordinator under control-plane loss: a 6-VM ring, a `control.drop`
+/// window at p = 0.3 over the first cycle's arming and resume, two cycles.
+/// Naive and NTP hit the save watchdog; the hardened pair abort and
+/// re-arm their save, re-arm their resume and finally give it up.
+fn method_row(name: &str) -> Pinned {
+    let method = LscMethod::from_name(name).expect("registered method");
+    let tw = TrialWorld {
+        nodes: 6,
+        spares: 1,
+        seed: 77,
+        ..TrialWorld::default()
+    };
+    let (mut sim, vc_id) = tw.build();
+    let rec = recorded(&mut sim);
+    let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
+    settle(&mut sim, SimDuration::from_secs(20));
+    let t0 = sim.now();
+    let mut plan = FaultPlan::new(9);
+    plan.window(
+        "control.drop",
+        None,
+        t0 + SimDuration::from_secs(4),
+        t0 + SimDuration::from_secs(40),
+        0.3,
+    );
+    install_fault_plan(&mut sim, plan);
+    let outs = run_cycles(&mut sim, vc_id, method, 2, SimDuration::from_secs(5));
+    settle(&mut sim, SimDuration::from_secs(20));
+    let outcomes = outs
+        .iter()
+        .map(|o| format!("({}, {})", o.success, o.attempts))
+        .collect::<Vec<_>>()
+        .join(" ");
+    pin(&sim, &rec, outcomes)
+}
+
+/// A `hardened-naive` checkpoint of a 6-VM ring restored onto six spares.
+fn restore_row() -> Pinned {
+    let tw = TrialWorld {
+        nodes: 6,
+        spares: 6,
+        seed: 78,
+        ..TrialWorld::default()
+    };
+    let (mut sim, vc_id) = tw.build();
+    let rec = recorded(&mut sim);
+    let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
+    settle(&mut sim, SimDuration::from_secs(20));
+    let outs = run_cycles(
+        &mut sim,
+        vc_id,
+        LscMethod::hardened_naive_default(),
+        1,
+        SimDuration::from_secs(5),
+    );
+    let set_id = outs[0].set_id.expect("checkpoint stored a set");
+    let targets: Vec<NodeId> = (7..=12).map(NodeId).collect();
+    restore_vc(
+        &mut sim,
+        set_id,
+        targets,
+        SimDuration::from_secs(5),
+        |sim, out| {
+            sim.world.ext.insert(out);
+        },
+    )
+    .expect("restore starts");
+    let done = run_until(&mut sim, SimTime::from_secs_f64(1e7), |sim| {
+        sim.world.ext.get::<RestoreOutcome>().is_some()
+    });
+    assert!(done, "restore must finish");
+    settle(&mut sim, SimDuration::from_secs(20));
+    let out = sim.world.ext.get::<RestoreOutcome>().unwrap();
+    let outcomes = format!(
+        "{} {} {}",
+        out.success,
+        out.resume_skew.nanos(),
+        out.duration.nanos()
+    );
+    pin(&sim, &rec, outcomes)
+}
+
+/// A 4-VM ring of 256 MB guests live-migrated onto four spares.
+fn migrate_row() -> Pinned {
+    let tw = TrialWorld {
+        nodes: 4,
+        spares: 4,
+        seed: 79,
+        mem_mb: 256,
+        ..TrialWorld::default()
+    };
+    let (mut sim, vc_id) = tw.build();
+    let rec = recorded(&mut sim);
+    let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
+    settle(&mut sim, SimDuration::from_secs(20));
+    let targets: Vec<NodeId> = (5..=8).map(NodeId).collect();
+    live_migrate_vc(
+        &mut sim,
+        vc_id,
+        targets,
+        LiveMigrateCfg::default(),
+        |sim, out| {
+            sim.world.ext.insert(out);
+        },
+    );
+    let done = run_until(&mut sim, SimTime::from_secs_f64(1e7), |sim| {
+        sim.world.ext.get::<LiveMigrateOutcome>().is_some()
+    });
+    assert!(done, "migration must finish");
+    settle(&mut sim, SimDuration::from_secs(20));
+    let out = sim.world.ext.get::<LiveMigrateOutcome>().unwrap();
+    let outcomes = format!("{} {}", out.success, out.downtime.nanos());
+    pin(&sim, &rec, outcomes)
+}
+
+#[test]
+fn coordinator_paths_match_golden_table() {
+    let mut rows: Vec<(&str, Pinned)> = LscMethod::NAMES
+        .iter()
+        .map(|&n| (n, method_row(n)))
+        .collect();
+    rows.push(("restore", restore_row()));
+    rows.push(("migrate", migrate_row()));
+    if std::env::var("DUMP_LSC_EVENT_GOLDEN").is_ok() {
+        for (name, got) in &rows {
+            println!("{name}: {got:?}");
+        }
+        return;
+    }
+    assert_eq!(rows.len(), COORDINATOR_GOLDEN.len());
+    for ((name, got), &(want_name, lines, digest, stats, outcomes)) in
+        rows.iter().zip(COORDINATOR_GOLDEN)
+    {
+        assert_eq!(*name, want_name);
+        let want = Pinned {
+            lines,
+            digest,
+            stats,
+            outcomes: outcomes.to_string(),
+        };
+        assert_eq!(
+            *got, want,
+            "{name}: coordinator row drifted from its golden; if the change \
+             is intentional, regenerate with DUMP_LSC_EVENT_GOLDEN=1"
+        );
+    }
+}
+
+/// Pinned coordinator rows: name, event lines, FNV-1a digest of the
+/// `jsonl` stream, `Sim::stats()`, outcomes. Method rows list each cycle
+/// as `(success, attempts)`; the restore row is `success resume_skew_ns
+/// duration_ns`; the migrate row is `success downtime_ns`.
+#[allow(clippy::type_complexity)]
+const COORDINATOR_GOLDEN: &[(&str, usize, u64, (u64, u64, u64, u64), &str)] = &[
+    (
+        "naive",
+        161,
+        0x7367a1904bb56335,
+        (82835, 70711, 12108, 234),
+        "(false, 1) (true, 1)",
+    ),
+    (
+        "ntp",
+        155,
+        0x4a50b47eb6670a5b,
+        (85713, 72907, 12790, 234),
+        "(false, 1) (true, 1)",
+    ),
+    (
+        "hardened",
+        206,
+        0x415e2a605444f3f1,
+        (89407, 69283, 20056, 234),
+        "(false, 2) (true, 1)",
+    ),
+    (
+        "hardened-naive",
+        224,
+        0x00bf64e957768707,
+        (84759, 65734, 18957, 234),
+        "(false, 2) (true, 1)",
+    ),
+    (
+        "restore",
+        104,
+        0x4c6a45176e52053e,
+        (75919, 59031, 16818, 239),
+        "true 337743 6006671425",
+    ),
+    (
+        "migrate",
+        17,
+        0x3ab18bab379012de,
+        (55998, 42662, 13287, 117),
+        "true 14764377",
+    ),
+];
