@@ -17,9 +17,8 @@
 //! * `perfetto`  — Chrome-trace JSON export for `ui.perfetto.dev`.
 
 use dvc_bench::traceio::{parse_stream, ParsedStream};
-use dvc_sim_core::{
-    EventSink, InvariantChecker, PerfettoTrace, PhaseAttribution, RoundRecord, SimTime, SpanChecker,
-};
+use dvc_cluster::world::WorldConfig;
+use dvc_sim_core::{EventSink, PerfettoTrace, PhaseAttribution, RoundRecord, SimTime, SpanChecker};
 
 const USAGE: &str = "dvc-trace — span-stream analyzer for DVC event exports
 
@@ -54,7 +53,7 @@ struct Analysis {
 
 fn analyze(stream: &ParsedStream) -> Analysis {
     let mut checker = SpanChecker::new();
-    let mut attrib = PhaseAttribution::new(InvariantChecker::default_budget());
+    let mut attrib = PhaseAttribution::new(WorldConfig::default().silence_budget());
     for (t, ev) in &stream.events {
         checker.on_event(*t, ev);
         attrib.on_event(*t, ev);

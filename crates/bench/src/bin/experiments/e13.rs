@@ -118,7 +118,7 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
     sim.metrics = Metrics::enabled();
     let checker = check.then(|| {
         let c = Rc::new(RefCell::new(InvariantChecker::new(
-            InvariantChecker::default_budget(),
+            sim.world.cfg.silence_budget(),
         )));
         sim.attach_sink(c.clone());
         c

@@ -61,7 +61,7 @@ pub fn run(opts: Opts) {
         sim.metrics = Metrics::enabled();
         let checker = opts.check_invariants.then(|| {
             let c = Rc::new(RefCell::new(InvariantChecker::new(
-                InvariantChecker::default_budget(),
+                sim.world.cfg.silence_budget(),
             )));
             sim.attach_sink(c.clone());
             c

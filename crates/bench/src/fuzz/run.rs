@@ -52,7 +52,7 @@ use std::rc::Rc;
 
 /// Per-cycle sim-time deadline for the liveness oracle. The model's own
 /// save-phase watchdog declares a run failed after 3600 s (see
-/// `lsc::save_timeout`), and a baseline coordinator whose arm command was
+/// `lsc::SAVE_TIMEOUT`), and a baseline coordinator whose arm command was
 /// eaten by `control.drop` legitimately stalls until then — so the oracle
 /// only flags rounds that outlive the watchdog too. (The first fuzz
 /// campaign ran with 600 s here and "found" exactly that stall; the

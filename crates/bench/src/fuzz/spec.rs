@@ -10,7 +10,7 @@
 //! malformed case fails loudly with its line number.
 
 use dvc_core::lsc::LscMethod;
-use dvc_sim_core::{kind_from_str, SimDuration};
+use dvc_sim_core::kind_from_str;
 
 /// Workload names the runner can launch (see [`crate::fuzz::run`]).
 pub const WORKLOADS: &[&str] = &["ring", "stream", "hpl", "ptrans"];
@@ -90,13 +90,6 @@ impl Default for ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// The guest-TCP silence budget this scenario's transport tolerates
-    /// (mirrors `WorldConfig::silence_budget` for the world the runner
-    /// builds: default 200 ms `rto_min`, spec-controlled retries).
-    pub fn silence_budget(&self) -> SimDuration {
-        SimDuration::from_secs_f64(0.2 * ((1u64 << self.tcp_retries.min(40)) - 1) as f64)
-    }
-
     /// Reject out-of-range or unknown-name specs before any world is
     /// built. Every accepted spec must run; every generator output and
     /// every parsed corpus case goes through here.
@@ -428,11 +421,5 @@ mod tests {
             ..ScenarioSpec::default()
         };
         assert!(s.validate().unwrap_err().contains("2 nodes"));
-    }
-
-    #[test]
-    fn silence_budget_matches_default_world_constant() {
-        let s = ScenarioSpec::default();
-        assert_eq!(s.silence_budget(), SimDuration::from_secs(3));
     }
 }

@@ -30,7 +30,7 @@ fn window_invariant_is_clean_without_faults() {
     let (mut sim, vc_id) = tw.build();
     sim.metrics = Metrics::enabled();
     let checker = Rc::new(RefCell::new(InvariantChecker::new(
-        InvariantChecker::default_budget(),
+        sim.world.cfg.silence_budget(),
     )));
     sim.attach_sink(checker.clone());
 
@@ -67,7 +67,7 @@ fn window_invariant_fires_on_seeded_clock_step() {
     };
     let (mut sim, vc_id) = tw.build();
     let checker = Rc::new(RefCell::new(InvariantChecker::new(
-        InvariantChecker::default_budget(),
+        sim.world.cfg.silence_budget(),
     )));
     sim.attach_sink(checker.clone());
 

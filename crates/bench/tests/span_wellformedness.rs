@@ -9,10 +9,9 @@
 
 use dvc_bench::scen::{ring_load, run_cycles, settle, TrialWorld};
 use dvc_bench::traceio;
+use dvc_cluster::world::WorldConfig;
 use dvc_core::lsc::LscMethod;
-use dvc_sim_core::{
-    EventSink, InvariantChecker, JsonlSink, PhaseAttribution, SimDuration, SpanChecker,
-};
+use dvc_sim_core::{EventSink, JsonlSink, PhaseAttribution, SimDuration, SpanChecker};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -91,7 +90,7 @@ fn exported_jsonl_replays_to_the_same_span_digest() {
     let stream = traceio::parse_stream(&text).expect("exported stream must parse");
     assert_eq!(stream.lines, lines.len());
     let mut replayed = SpanChecker::new();
-    let mut attrib = PhaseAttribution::new(InvariantChecker::default_budget());
+    let mut attrib = PhaseAttribution::new(WorldConfig::default().silence_budget());
     for (t, e) in &stream.events {
         replayed.on_event(*t, e);
         attrib.on_event(*t, e);
@@ -108,7 +107,7 @@ fn exported_jsonl_replays_to_the_same_span_digest() {
     for r in attrib.rounds() {
         assert!(!r.is_failed(), "no round fails in a fault-free trial");
         let m = r
-            .margin_s(InvariantChecker::default_budget())
+            .margin_s(WorldConfig::default().silence_budget())
             .expect("stored rounds have a margin");
         assert!(m > 0.0, "margin must be positive on a clean round: {m}");
     }

@@ -17,10 +17,15 @@
 //!     pause skew collapses to residual clock error (milliseconds);
 //!   - **hardened** (paper §4 future work): arm acknowledgements, pre-fire
 //!     abort on missing acks, per-image verification and bounded retry —
-//!     what "scaling to hundreds or even thousands of nodes" requires.
+//!     what "scaling to hundreds or even thousands of nodes" requires;
+//!   - **hardened-naive**: the hardened protocol without the clock — arm
+//!     every agent, collect acks, broadcast GO — which the reliability
+//!     manager degrades to while NTP sync is stale.
 //!
-//!   Restores are coordinated symmetrically: stage every image, then resume
-//!   everyone together (naive skew or NTP instant).
+//!   Restores stage every image, then resume everyone together at one
+//!   shared NTP-scheduled instant.
+//! * [`migrate`] — parallel live migration: pre-copy while the guests run,
+//!   then an NTP-coordinated cutover.
 //! * [`reliability`] — the resource-manager integration the paper's §4
 //!   calls for: periodic checkpointing (fixed interval or Young's optimum),
 //!   failure detection, and automatic restore onto surviving nodes —
@@ -36,9 +41,7 @@ pub mod vc;
 
 pub use batch::{submit_dvc_job, DvcJobSpec, DvcJobState};
 pub use lsc::RestoreOutcome;
-pub use lsc::{
-    checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, LscReport, RestoreError,
-};
+pub use lsc::{checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, RestoreError};
 pub use migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
 pub use vc::{
     provision_vc, teardown_vc, CheckpointSet, CheckpointStore, VcId, VcSpec, VirtualCluster,

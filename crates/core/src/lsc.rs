@@ -4,7 +4,7 @@
 //! participating in the parallel computation before a network timeout occurs
 //! and causes the application to crash." (paper §3)
 //!
-//! This module implements the three coordinators:
+//! This module implements the four coordinators:
 //!
 //! * [`LscMethod::Naive`] — §3.1's first attempt: the coordinator opens a
 //!   terminal connection to every node (serially), then walks the open
@@ -145,6 +145,22 @@ impl LscMethod {
             _ => 0.0,
         }
     }
+
+    /// Hardened family: arm attempts per phase, and how long the resume
+    /// side waits for its acks.
+    fn retry(&self) -> (u32, SimDuration) {
+        match *self {
+            LscMethod::Hardened {
+                lead, max_attempts, ..
+            } => (max_attempts, lead),
+            LscMethod::HardenedNaive {
+                ack_timeout,
+                max_attempts,
+                ..
+            } => (max_attempts, ack_timeout),
+            _ => (1, SimDuration::from_secs(5)),
+        }
+    }
 }
 
 /// Injectable agent faults (experiment knobs; transport faults are never
@@ -200,10 +216,100 @@ pub struct RestoreOutcome {
     pub detail: String,
 }
 
-/// Alias kept for the public API: a full checkpoint report.
-pub type LscReport = LscOutcome;
+/// How a run reports its outcome.
+pub(crate) type Done<O> = Box<dyn FnOnce(&mut Sim<ClusterWorld>, O)>;
 
-type DoneCb = Box<dyn FnOnce(&mut Sim<ClusterWorld>, LscOutcome)>;
+/// The in-flight runs of one coordinator kind (checkpoint, restore or live
+/// migration), keyed by run id. A run is removed in the same call that
+/// ends it, so a callback that lands afterwards finds nothing to act on.
+struct Runs<R> {
+    runs: FastMap<u64, R>,
+    next: u64,
+}
+
+impl<R> Default for Runs<R> {
+    fn default() -> Self {
+        Runs {
+            runs: FastMap::default(),
+            next: 0,
+        }
+    }
+}
+
+/// Register a new run and return its id (ids count from 1 per kind).
+pub(crate) fn open_run<R: 'static>(sim: &mut Sim<ClusterWorld>, run: R) -> u64 {
+    let rs = sim.world.ext.get_or_default::<Runs<R>>();
+    rs.next += 1;
+    rs.runs.insert(rs.next, run);
+    rs.next
+}
+
+pub(crate) fn get_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<&mut R> {
+    sim.world.ext.get_or_default::<Runs<R>>().runs.get_mut(&id)
+}
+
+/// Remove a run; `None` when it has already ended.
+pub(crate) fn close_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<R> {
+    sim.world.ext.get_or_default::<Runs<R>>().runs.remove(&id)
+}
+
+/// The tail every run ends with, once [`close_run`] has taken its record:
+/// the VC takes `state`, the run's still-open spans close (listed children
+/// first, the root last — a child span never outlives its root), and
+/// `report` hands the outcome on.
+pub(crate) fn end_run(
+    sim: &mut Sim<ClusterWorld>,
+    vc_id: VcId,
+    state: VcState,
+    spans: Vec<SpanId>,
+    report: impl FnOnce(&mut Sim<ClusterWorld>),
+) {
+    if let Some(v) = vc::vc_mut(sim, vc_id) {
+        v.state = state;
+    }
+    for s in spans {
+        sim.close_span(s);
+    }
+    report(sim);
+}
+
+/// Max − min over the instants known so far (zero below two).
+pub(crate) fn skew_of(times: &[Option<SimTime>]) -> SimDuration {
+    let mut known = times.iter().flatten();
+    let Some(&first) = known.next() else {
+        return SimDuration::ZERO;
+    };
+    let (min, max) = known.fold((first, first), |(lo, hi), &t| (lo.min(t), hi.max(t)));
+    max - min
+}
+
+/// The save or the resume half of a checkpoint round.
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Save,
+    Resume,
+}
+
+/// One side's coordination state.
+struct Phase {
+    /// Arm attempts so far. Acks, fires and GOs carry the attempt they
+    /// answer and are void once a re-arm has superseded it.
+    attempt: u32,
+    /// Hardened family: acks collected for the current attempt.
+    acks: usize,
+    /// When each member paused (save) or resumed (resume).
+    fired: Vec<Option<SimTime>>,
+}
+
+impl Phase {
+    fn new(n: usize) -> Self {
+        Phase {
+            attempt: 0,
+            acks: 0,
+            fired: vec![None; n],
+        }
+    }
+}
 
 struct CkptRun {
     vc: VcId,
@@ -213,32 +319,20 @@ struct CkptRun {
     images: Vec<Option<VmImage>>,
     resolved: usize,
     failed_members: usize,
-    pause_times: Vec<Option<SimTime>>,
-    resume_times: Vec<Option<SimTime>>,
-    resumed: usize,
-    attempts: u32,
-    /// Hardened: arm acks collected for the current attempt.
-    acks: usize,
     /// Per-member agent liveness: once an agent has come up (acked/armed),
     /// later attempts re-arm it reliably; only dead agents re-roll the
     /// fault dice (a retry restarts the crashed checkpoint process).
     agent_ok: Vec<bool>,
-    /// Hardened: attempt epoch; stale arms check this before firing.
-    attempt_epoch: u32,
-    aborted: bool,
     /// Hardened family: per-member re-save counts (checksum failures).
     save_attempts: Vec<u32>,
     /// False once any member's save is given up on; the hardened family
     /// still resumes everyone, then reports the run as failed.
     save_ok: bool,
-    /// Hardened family: resume-side arm/ack state (the abort guard applied
-    /// to the resume broadcast).
-    resume_epoch: u32,
-    resume_acks: usize,
-    resume_attempts: u32,
+    save: Phase,
+    resume: Phase,
     save_done_at: Option<SimTime>,
-    finished: bool,
-    on_done: Option<DoneCb>,
+    set_id: Option<u64>,
+    on_done: Done<LscOutcome>,
     /// Causal spans (all [`SpanId::NONE`] when no sink is attached). The
     /// run record owns them so every code path that can end the run —
     /// watchdogs included — can close what is still open: a child span must
@@ -250,14 +344,17 @@ struct CkptRun {
     resume_span: SpanId,
 }
 
-#[derive(Default)]
-struct LscRuns {
-    runs: FastMap<u64, CkptRun>,
-    next: u64,
+impl CkptRun {
+    fn phase(&mut self, side: Side) -> &mut Phase {
+        match side {
+            Side::Save => &mut self.save,
+            Side::Resume => &mut self.resume,
+        }
+    }
 }
 
-fn runs(sim: &mut Sim<ClusterWorld>) -> &mut LscRuns {
-    sim.world.ext.get_or_default::<LscRuns>()
+fn ckpt(sim: &mut Sim<ClusterWorld>, run_id: u64) -> Option<&mut CkptRun> {
+    get_run(sim, run_id)
 }
 
 /// Checkpoint a virtual cluster with the chosen method, then resume it the
@@ -277,49 +374,33 @@ pub fn checkpoint_vc(
     if let Some(v) = vc::vc_mut(sim, vc_id) {
         v.state = VcState::Checkpointing;
     }
-    let run_id = {
-        let r = runs(sim);
-        r.next += 1;
-        let id = r.next;
-        r.runs.insert(
-            id,
-            CkptRun {
-                vc: vc_id,
-                method,
-                started,
-                expected: n,
-                images: std::iter::repeat_with(|| None).take(n).collect(),
-                resolved: 0,
-                failed_members: 0,
-                pause_times: vec![None; n],
-                resume_times: vec![None; n],
-                resumed: 0,
-                attempts: 0,
-                acks: 0,
-                agent_ok: vec![false; n],
-                attempt_epoch: 0,
-                aborted: false,
-                save_attempts: vec![0; n],
-                save_ok: true,
-                resume_epoch: 0,
-                resume_acks: 0,
-                resume_attempts: 0,
-                save_done_at: None,
-                finished: false,
-                on_done: Some(Box::new(on_done)),
-                round_span: SpanId::NONE,
-                dispatch_spans: vec![SpanId::NONE; n],
-                ack_span: SpanId::NONE,
-                save_spans: vec![SpanId::NONE; n],
-                resume_span: SpanId::NONE,
-            },
-        );
-        id
-    };
+    let run_id = open_run(
+        sim,
+        CkptRun {
+            vc: vc_id,
+            method,
+            started,
+            expected: n,
+            images: vec![None; n],
+            resolved: 0,
+            failed_members: 0,
+            agent_ok: vec![false; n],
+            save_attempts: vec![0; n],
+            save_ok: true,
+            save: Phase::new(n),
+            resume: Phase::new(n),
+            save_done_at: None,
+            set_id: None,
+            on_done: Box::new(on_done),
+            round_span: SpanId::NONE,
+            dispatch_spans: vec![SpanId::NONE; n],
+            ack_span: SpanId::NONE,
+            save_spans: vec![SpanId::NONE; n],
+            resume_span: SpanId::NONE,
+        },
+    );
     let round_span = sim.open_span("lsc.round", SpanId::NONE, run_id);
-    if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-        r.round_span = round_span;
-    }
+    ckpt(sim, run_id).expect("run").round_span = round_span;
     start_attempt(sim, run_id);
     run_id
 }
@@ -334,26 +415,21 @@ fn member_hosts(sim: &Sim<ClusterWorld>, vc_id: VcId) -> Vec<(usize, VmId, NodeI
 }
 
 fn start_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
-    let (vc_id, method, attempt, round_span) = {
-        let r = runs(sim).runs.get_mut(&run_id).expect("run");
-        r.attempts += 1;
-        r.attempt_epoch += 1;
-        r.acks = 0;
-        r.aborted = false;
-        (r.vc, r.method, r.attempt_epoch, r.round_span)
+    let (vc_id, method, round_span) = {
+        let r = ckpt(sim, run_id).expect("run");
+        r.save.attempt += 1;
+        r.save.acks = 0;
+        (r.vc, r.method, r.round_span)
     };
     let members = member_hosts(sim, vc_id);
     for &(i, _, _) in &members {
         // A re-arm after an abort replaces the member's dispatch span: the
         // stale one closes here (it covered arm → abort), the fresh one
         // runs arm → pause.
-        let stale = {
-            let r = runs(sim).runs.get_mut(&run_id).expect("run");
-            std::mem::replace(&mut r.dispatch_spans[i], SpanId::NONE)
-        };
+        let stale = std::mem::take(&mut ckpt(sim, run_id).expect("run").dispatch_spans[i]);
         sim.close_span(stale);
         let ds = sim.open_span("lsc.dispatch", round_span, i as u64);
-        runs(sim).runs.get_mut(&run_id).expect("run").dispatch_spans[i] = ds;
+        ckpt(sim, run_id).expect("run").dispatch_spans[i] = ds;
         sim.emit(Event::Lsc(LscEvent::ArmSent {
             run: run_id,
             vc: vc_id.0,
@@ -378,238 +454,213 @@ fn start_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
                     fire_save(sim, run_id, i, vm);
                 });
             }
-            arm_run_watchdog(sim, run_id, t + save_timeout());
+            arm_run_watchdog(sim, run_id, t + SAVE_TIMEOUT);
         }
-        LscMethod::Ntp { lead } => {
+        LscMethod::Ntp { lead } | LscMethod::Hardened { lead, .. } => {
             let t_fire_local = fire_instant(sim, lead);
-            for (i, vm, host) in members {
-                if !roll_agent(sim, run_id, i) {
-                    continue; // agent died; this VM will never pause
-                }
-                let d = control::cmd_delay(sim, host);
-                control::ctrl_call(sim, host, d, move |sim| {
-                    schedule_local_fire(sim, host, t_fire_local, move |sim| {
-                        fire_save(sim, run_id, i, vm);
-                    });
-                });
+            arm_members(sim, run_id, Side::Save, members, Some(t_fire_local));
+            if let LscMethod::Hardened { ack_guard, .. } = method {
+                // Ack review, `ack_guard` before the fire instant.
+                let review_in = lead
+                    .saturating_sub(ack_guard)
+                    .max(SimDuration::from_millis(1));
+                review_acks(sim, run_id, Side::Save, review_in);
             }
-            arm_run_watchdog(sim, run_id, lead + save_timeout());
+            arm_run_watchdog(sim, run_id, lead + SAVE_TIMEOUT);
         }
-        LscMethod::Hardened {
-            lead, ack_guard, ..
-        } => {
-            let t_fire_local = fire_instant(sim, lead);
-            for (i, vm, host) in members {
-                if !roll_agent(sim, run_id, i) {
-                    continue;
-                }
-                let d = control::cmd_delay(sim, host);
-                control::ctrl_call(sim, host, d, move |sim| {
-                    // Ack back to the coordinator.
-                    let back = control::cmd_delay(sim, host);
-                    sim.schedule_in(back, move |sim| {
-                        if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                            if r.attempt_epoch == attempt && !r.aborted {
-                                r.acks += 1;
-                            }
-                        }
-                    });
-                    // Fire unless the attempt was aborted meanwhile.
-                    schedule_local_fire(sim, host, t_fire_local, move |sim| {
-                        let ok = runs(sim)
-                            .runs
-                            .get(&run_id)
-                            .is_some_and(|r| r.attempt_epoch == attempt && !r.aborted);
-                        if ok {
-                            fire_save(sim, run_id, i, vm);
-                        }
-                    });
-                });
-            }
-            // Ack review, `ack_guard` before the fire instant.
-            let review_in = lead
-                .saturating_sub(ack_guard)
-                .max(SimDuration::from_millis(1));
-            sim.schedule_in(review_in, move |sim| {
-                let (ok, vc_id, attempts_left) = {
-                    let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.attempt_epoch != attempt || r.finished {
-                        return;
-                    }
-                    let max = match r.method {
-                        LscMethod::Hardened { max_attempts, .. } => max_attempts,
-                        _ => 1,
-                    };
-                    (r.acks == r.expected, r.vc, r.attempts < max)
-                };
-                let _ = vc_id;
-                if ok {
-                    return; // commit: arms fire at T
-                }
-                // Abort this attempt before anything pauses, then retry.
-                if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                    r.aborted = true;
-                }
-                if attempts_left {
-                    let vc = runs(sim).runs.get(&run_id).map(|r| r.vc.0).unwrap_or(0);
-                    sim.emit(Event::Lsc(LscEvent::AbortReArm {
-                        run: run_id,
-                        vc,
-                        attempt,
-                    }));
-                    start_attempt(sim, run_id);
-                } else {
-                    finish_run(
-                        sim,
-                        run_id,
-                        false,
-                        "arm acks incomplete after retries".into(),
-                    );
-                }
-            });
-            arm_run_watchdog(sim, run_id, lead + save_timeout());
-        }
-        LscMethod::HardenedNaive {
-            ack_timeout,
-            max_attempts,
-            ..
-        } => {
+        LscMethod::HardenedNaive { ack_timeout, .. } => {
             // Arm every agent in parallel; each ack back tells the
             // coordinator the control path round-trips *right now*. Only
             // when every member is armed does GO go out — so a partition
             // or drop during arming aborts with nothing paused.
-            for &(i, _vm, host) in &members {
-                if !roll_agent(sim, run_id, i) {
-                    continue;
-                }
-                let d = control::cmd_delay(sim, host);
-                control::ctrl_call(sim, host, d, move |sim| {
-                    let back = control::cmd_delay(sim, host);
-                    sim.schedule_in(back, move |sim| {
-                        let all_armed = {
-                            let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                                return;
-                            };
-                            if r.attempt_epoch != attempt || r.aborted || r.finished {
-                                return;
-                            }
-                            r.acks += 1;
-                            r.acks == r.expected
-                        };
-                        if all_armed {
-                            broadcast_save_go(sim, run_id, attempt, GO_REPEATS);
-                        }
-                    });
+            arm_members(sim, run_id, Side::Save, members, None);
+            review_acks(sim, run_id, Side::Save, ack_timeout);
+            arm_run_watchdog(sim, run_id, ack_timeout + SAVE_TIMEOUT);
+        }
+    }
+}
+
+/// Arm every member's agent for the current attempt of `side`. Given a
+/// local-clock instant `t_fire`, each agent fires when its clock reads it;
+/// without one, agents wait for the GO the coordinator broadcasts once the
+/// last ack is in. Hardened-family agents ack every arm. Only save arms
+/// roll the agent-fault dice.
+fn arm_members(
+    sim: &mut Sim<ClusterWorld>,
+    run_id: u64,
+    side: Side,
+    members: Vec<(usize, VmId, NodeId)>,
+    t_fire: Option<i64>,
+) {
+    let (attempt, ack) = {
+        let r = ckpt(sim, run_id).expect("run");
+        (r.phase(side).attempt, r.method.is_hardened())
+    };
+    for (i, vm, host) in members {
+        if side == Side::Save && !roll_agent(sim, run_id, i) {
+            continue; // agent died; this VM will never pause
+        }
+        let d = control::cmd_delay(sim, host);
+        control::ctrl_call(sim, host, d, move |sim| {
+            if ack {
+                send_ack(sim, run_id, side, attempt, host, t_fire.is_none());
+            }
+            if let Some(t) = t_fire {
+                schedule_local_fire(sim, host, t, move |sim| {
+                    fire(sim, run_id, side, attempt, i, vm);
                 });
             }
-            // Ack review at the timeout: an incomplete arm set aborts
-            // (nothing has paused yet) and re-arms from scratch, which
-            // simply waits out a partition window.
-            sim.schedule_in(ack_timeout, move |sim| {
-                let (ok, attempts_left) = {
-                    let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.attempt_epoch != attempt || r.finished {
-                        return;
-                    }
-                    (r.acks == r.expected, r.attempts < max_attempts)
-                };
-                if ok {
-                    return;
-                }
-                if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                    r.aborted = true;
-                }
-                if attempts_left {
-                    let vc = runs(sim).runs.get(&run_id).map(|r| r.vc.0).unwrap_or(0);
-                    sim.emit(Event::Lsc(LscEvent::AbortReArm {
-                        run: run_id,
-                        vc,
-                        attempt,
-                    }));
-                    start_attempt(sim, run_id);
-                } else {
-                    finish_run(
-                        sim,
-                        run_id,
-                        false,
-                        "arm acks incomplete after retries".into(),
-                    );
-                }
-            });
-            arm_run_watchdog(sim, run_id, ack_timeout + save_timeout());
+        });
+    }
+}
+
+/// An armed agent's ack back to the coordinator. It counts only toward the
+/// attempt it answers; with `go`, the ack that completes the set
+/// broadcasts GO.
+fn send_ack(
+    sim: &mut Sim<ClusterWorld>,
+    run_id: u64,
+    side: Side,
+    attempt: u32,
+    host: NodeId,
+    go: bool,
+) {
+    let back = control::cmd_delay(sim, host);
+    sim.schedule_in(back, move |sim| {
+        let all_armed = {
+            let Some(r) = ckpt(sim, run_id) else {
+                return;
+            };
+            let expected = r.expected;
+            let p = r.phase(side);
+            if p.attempt != attempt {
+                return;
+            }
+            p.acks += 1;
+            p.acks == expected
+        };
+        if go && all_armed {
+            broadcast_phase_go(sim, run_id, side, attempt);
         }
+    });
+}
+
+/// Review the acks of `side`'s current attempt `after` from now. A complete
+/// set commits: the clock or the GO fires it. Otherwise the attempt is
+/// abandoned before anything fires for it and re-armed from scratch, which
+/// simply waits out a partition; once the attempts are spent the run fails.
+/// A paused guest is frozen, so patience on the resume side costs
+/// wall-clock, not correctness.
+fn review_acks(sim: &mut Sim<ClusterWorld>, run_id: u64, side: Side, after: SimDuration) {
+    let attempt = ckpt(sim, run_id).expect("run").phase(side).attempt;
+    sim.schedule_in(after, move |sim| {
+        let Some(r) = ckpt(sim, run_id) else {
+            return;
+        };
+        let (vc, expected, (max_attempts, _)) = (r.vc.0, r.expected, r.method.retry());
+        let p = r.phase(side);
+        if p.attempt != attempt || p.acks == expected {
+            return;
+        }
+        match (side, attempt < max_attempts) {
+            (Side::Save, true) => {
+                sim.emit(Event::Lsc(LscEvent::AbortReArm {
+                    run: run_id,
+                    vc,
+                    attempt,
+                }));
+                start_attempt(sim, run_id);
+            }
+            (Side::Resume, true) => resume_attempt(sim, run_id),
+            (Side::Save, false) => finish_run(
+                sim,
+                run_id,
+                false,
+                "arm acks incomplete after retries".into(),
+            ),
+            (Side::Resume, false) => finish_run(
+                sim,
+                run_id,
+                false,
+                "resume arms incomplete after retries".into(),
+            ),
+        }
+    });
+}
+
+/// Member `i`'s arm or GO for `attempt` of `side` lands: fire, unless a
+/// re-arm has superseded the attempt.
+fn fire(sim: &mut Sim<ClusterWorld>, run_id: u64, side: Side, attempt: u32, i: usize, vm: VmId) {
+    if ckpt(sim, run_id).is_none_or(|r| r.phase(side).attempt != attempt) {
+        return;
+    }
+    match side {
+        Side::Save => fire_save(sim, run_id, i, vm),
+        Side::Resume => fire_resume(sim, run_id, i, vm),
     }
 }
 
 /// How many times a clock-free GO broadcast is repeated (a lost control
 /// message must not strand one member un-paused while its peers freeze).
 /// Repeats only go to members not yet seen firing, so the common case is a
-/// single round; the worst-case extra skew, `GO_REPEATS × go_spacing`, must
+/// single round; the worst-case extra skew, `GO_REPEATS × GO_SPACING`, must
 /// stay under the guest TCP silence budget (~3 s at the default config).
 const GO_REPEATS: u32 = 8;
 
-fn go_spacing() -> SimDuration {
-    SimDuration::from_millis(350)
-}
+const GO_SPACING: SimDuration = SimDuration::from_millis(350);
 
-/// Clock-free save GO: tell every not-yet-paused member to fire now.
-/// Repeated `repeats_left − 1` more times; `fire_save` dedupes arrivals.
-fn broadcast_save_go(sim: &mut Sim<ClusterWorld>, run_id: u64, attempt: u32, repeats_left: u32) {
-    let vc_id = {
-        let Some(r) = runs(sim).runs.get(&run_id) else {
-            return;
-        };
-        if r.attempt_epoch != attempt || r.aborted || r.finished {
-            return;
-        }
-        r.vc
+/// Broadcast GO to every member that has not fired yet, `repeats_left`
+/// times, [`GO_SPACING`] apart. `state` gives the VC and who has fired so
+/// far, or `None` once the run has ended or moved on, which stops the
+/// repeats; `land` runs on the member's agent, which dedupes arrivals.
+fn broadcast_go<S, L>(sim: &mut Sim<ClusterWorld>, repeats_left: u32, state: S, land: L)
+where
+    S: Fn(&mut Sim<ClusterWorld>) -> Option<(VcId, Vec<Option<SimTime>>)> + 'static,
+    L: Fn(&mut Sim<ClusterWorld>, usize, VmId, NodeId) + Copy + 'static,
+{
+    let Some((vc_id, fired)) = state(sim) else {
+        return;
     };
     for (i, vm, host) in member_hosts(sim, vc_id) {
-        let already = runs(sim)
-            .runs
-            .get(&run_id)
-            .is_some_and(|r| r.pause_times[i].is_some());
-        if already {
+        if fired[i].is_some() {
             continue;
         }
         let d = control::cmd_delay(sim, host);
-        control::ctrl_call(sim, host, d, move |sim| {
-            let ok = runs(sim)
-                .runs
-                .get(&run_id)
-                .is_some_and(|r| r.attempt_epoch == attempt && !r.aborted);
-            if ok {
-                fire_save(sim, run_id, i, vm);
-            }
-        });
+        control::ctrl_call(sim, host, d, move |sim| land(sim, i, vm, host));
     }
     if repeats_left > 1 {
-        sim.schedule_in(go_spacing(), move |sim| {
-            broadcast_save_go(sim, run_id, attempt, repeats_left - 1);
+        sim.schedule_in(GO_SPACING, move |sim| {
+            broadcast_go(sim, repeats_left - 1, state, land);
         });
     }
+}
+
+/// Clock-free GO for `attempt` of one side of a checkpoint round.
+fn broadcast_phase_go(sim: &mut Sim<ClusterWorld>, run_id: u64, side: Side, attempt: u32) {
+    broadcast_go(
+        sim,
+        GO_REPEATS,
+        move |sim| {
+            let r = ckpt(sim, run_id)?;
+            let vc_id = r.vc;
+            let p = r.phase(side);
+            (p.attempt == attempt).then(|| (vc_id, p.fired.clone()))
+        },
+        move |sim, i, vm, _host| fire(sim, run_id, side, attempt, i, vm),
+    );
 }
 
 /// Roll the agent-fault dice for member `i` of a run: an agent that has
 /// already come up stays up; a dead one gets a fresh chance per attempt
 /// (retries restart crashed checkpoint processes).
 fn roll_agent(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize) -> bool {
-    let already = runs(sim)
-        .runs
-        .get(&run_id)
-        .map(|r| r.agent_ok[member])
-        .unwrap_or(false);
-    if already {
+    if ckpt(sim, run_id).is_some_and(|r| r.agent_ok[member]) {
         return true;
     }
     let loss = faults(sim).arm_loss_prob;
     let ok = loss <= 0.0 || !sim.rng.stream("lsc.arm_loss").gen_bool(loss);
     if ok {
-        if let Some(r) = runs(sim).runs.get_mut(&run_id) {
+        if let Some(r) = ckpt(sim, run_id) {
             r.agent_ok[member] = true;
         }
     }
@@ -636,17 +687,11 @@ fn schedule_local_fire(
 
 /// Generous bound on how long the save phase may take before the run is
 /// declared failed (covers storage time for large sets).
-fn save_timeout() -> SimDuration {
-    SimDuration::from_secs(3600)
-}
+const SAVE_TIMEOUT: SimDuration = SimDuration::from_secs(3600);
 
 fn arm_run_watchdog(sim: &mut Sim<ClusterWorld>, run_id: u64, after: SimDuration) {
     sim.schedule_in(after, move |sim| {
-        let unfinished = runs(sim)
-            .runs
-            .get(&run_id)
-            .is_some_and(|r| !r.finished && r.save_done_at.is_none());
-        if unfinished {
+        if ckpt(sim, run_id).is_some_and(|r| r.save_done_at.is_none()) {
             finish_run(sim, run_id, false, "save phase timed out".into());
         }
     });
@@ -656,14 +701,14 @@ fn arm_run_watchdog(sim: &mut Sim<ClusterWorld>, run_id: u64, after: SimDuration
 fn fire_save(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId) {
     let now = sim.now();
     let (vc_id, dispatch_span, round_span, first_fire) = {
-        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
+        let Some(r) = ckpt(sim, run_id) else {
             return;
         };
-        if r.finished || r.pause_times[member].is_some() {
+        if r.save.fired[member].is_some() {
             return;
         }
-        r.pause_times[member] = Some(now);
-        let ds = std::mem::replace(&mut r.dispatch_spans[member], SpanId::NONE);
+        r.save.fired[member] = Some(now);
+        let ds = std::mem::take(&mut r.dispatch_spans[member]);
         (r.vc, ds, r.round_span, r.ack_span.is_none())
     };
     sim.close_span(dispatch_span);
@@ -672,7 +717,7 @@ fn fire_save(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId) 
         // the last member's save resolves — its width is what the TCP
         // silence budget is spent on.
         let ack = sim.open_span("lsc.ack_collect", round_span, run_id);
-        if let Some(r) = runs(sim).runs.get_mut(&run_id) {
+        if let Some(r) = ckpt(sim, run_id) {
             r.ack_span = ack;
         }
     }
@@ -691,7 +736,7 @@ fn fire_save(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId) 
         return;
     }
     let vspan = sim.open_span("vmm.save", round_span, vm.0 as u64);
-    if let Some(r) = runs(sim).runs.get_mut(&run_id) {
+    if let Some(r) = ckpt(sim, run_id) {
         r.save_spans[member] = vspan;
     }
     glue::save_vm_in(sim, vm, vspan, move |sim, image| {
@@ -715,41 +760,25 @@ fn on_save_complete(
     vm: VmId,
     image: Option<VmImage>,
 ) {
-    let hardened = runs(sim)
-        .runs
-        .get(&run_id)
-        .is_some_and(|r| r.method.is_hardened());
+    let hardened = ckpt(sim, run_id).is_some_and(|r| r.method.is_hardened());
     if let Some(img) = &image {
         if hardened && !img.verify() {
-            let attempts = {
-                let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                    return;
-                };
-                if r.finished {
-                    return;
-                }
-                r.save_attempts[member] += 1;
-                r.save_attempts[member]
+            let Some(r) = ckpt(sim, run_id) else {
+                return;
             };
+            r.save_attempts[member] += 1;
+            let attempts = r.save_attempts[member];
             if attempts <= MAX_SAVE_RETRIES {
+                let (old, round_span) = (std::mem::take(&mut r.save_spans[member]), r.round_span);
                 sim.emit(Event::Lsc(LscEvent::ChecksumResave {
                     vm: vm.0,
                     attempt: attempts,
                 }));
                 // Each re-save is its own vmm.save span: the trace shows
                 // one save attempt per bar, not one bar hiding retries.
-                let (old, round_span) = {
-                    let r = runs(sim).runs.get_mut(&run_id).expect("run");
-                    (
-                        std::mem::replace(&mut r.save_spans[member], SpanId::NONE),
-                        r.round_span,
-                    )
-                };
                 sim.close_span(old);
                 let vspan = sim.open_span("vmm.save", round_span, vm.0 as u64);
-                if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                    r.save_spans[member] = vspan;
-                }
+                ckpt(sim, run_id).expect("run").save_spans[member] = vspan;
                 glue::save_vm_in(sim, vm, vspan, move |sim, image| {
                     on_save_complete(sim, run_id, member, vm, image);
                 });
@@ -773,19 +802,16 @@ fn member_resolved(
     image: Option<VmImage>,
 ) {
     let (save_phase_complete, vc_id, ok, vspan) = {
-        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
+        let Some(r) = ckpt(sim, run_id) else {
             return;
         };
-        if r.finished {
-            return;
-        }
         let ok = image.is_some();
         if image.is_none() {
             r.failed_members += 1;
         }
         r.images[member] = image;
         r.resolved += 1;
-        let vspan = std::mem::replace(&mut r.save_spans[member], SpanId::NONE);
+        let vspan = std::mem::take(&mut r.save_spans[member]);
         (r.resolved == r.expected, r.vc, ok, vspan)
     };
     sim.close_span(vspan);
@@ -803,14 +829,14 @@ fn member_resolved(
 fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     let now = sim.now();
     let (ok, method, vc_id, skew, ack_span) = {
-        let r = runs(sim).runs.get_mut(&run_id).expect("run");
+        let r = ckpt(sim, run_id).expect("run");
         r.save_done_at = Some(now);
         (
             r.failed_members == 0,
             r.method,
             r.vc,
-            skew_of(&r.pause_times),
-            std::mem::replace(&mut r.ack_span, SpanId::NONE),
+            skew_of(&r.save.fired),
+            std::mem::take(&mut r.ack_span),
         )
     };
     sim.close_span(ack_span);
@@ -825,9 +851,7 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
             // Don't leave the survivors paused bleeding their peers' TCP
             // budgets: resume everyone, then report the failed run. The VC
             // keeps computing on its previously stored generations.
-            if let Some(r) = runs(sim).runs.get_mut(&run_id) {
-                r.save_ok = false;
-            }
+            ckpt(sim, run_id).expect("run").save_ok = false;
             sim.emit(Event::Lsc(LscEvent::SavePhaseFailed));
             coordinated_resume(sim, run_id);
         } else {
@@ -837,49 +861,39 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     }
 
     // Persist the set.
-    let set_id = {
-        let images: Vec<VmImage> = {
-            let r = runs(sim).runs.get_mut(&run_id).unwrap();
-            r.images.iter().map(|i| i.clone().expect("image")).collect()
-        };
-        let skew = {
-            let r = runs(sim).runs.get(&run_id).unwrap();
-            skew_of(&r.pause_times)
-        };
-        let st = vc::store(sim);
-        let id = st.alloc_id();
-        st.sets.push(CheckpointSet {
-            id,
-            vc: vc_id,
-            taken_at: now,
-            images,
-            pause_skew: skew,
-        });
-        sim.emit(Event::Lsc(LscEvent::SetStored {
-            vc: vc_id.0,
-            set: id,
-            skew,
-        }));
-        id
-    };
-    sim.world
-        .ext
-        .get_or_default::<LastSetId>()
-        .0
-        .insert(run_id, set_id);
+    let images: Vec<VmImage> = ckpt(sim, run_id)
+        .expect("run")
+        .images
+        .iter()
+        .map(|i| i.clone().expect("image"))
+        .collect();
+    let st = vc::store(sim);
+    let set_id = st.alloc_id();
+    st.sets.push(CheckpointSet {
+        id: set_id,
+        vc: vc_id,
+        taken_at: now,
+        images,
+        pause_skew: skew,
+    });
+    sim.emit(Event::Lsc(LscEvent::SetStored {
+        vc: vc_id.0,
+        set: set_id,
+        skew,
+    }));
+    ckpt(sim, run_id).expect("run").set_id = Some(set_id);
 
     // Hardened family: verify images (read back a fraction) before
     // resuming.
     let verify_fraction = method.verify_fraction();
     if verify_fraction > 0.0 {
-        let bytes: u64 = {
-            let r = runs(sim).runs.get(&run_id).unwrap();
-            r.images
-                .iter()
-                .flatten()
-                .map(|i| (i.size_bytes() as f64 * verify_fraction) as u64)
-                .sum()
-        };
+        let bytes: u64 = ckpt(sim, run_id)
+            .expect("run")
+            .images
+            .iter()
+            .flatten()
+            .map(|i| (i.size_bytes() as f64 * verify_fraction) as u64)
+            .sum();
         storage::start_transfer(sim, bytes.max(1), move |sim| {
             coordinated_resume(sim, run_id);
         });
@@ -888,18 +902,14 @@ fn on_all_saves_resolved(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     coordinated_resume(sim, run_id);
 }
 
-/// Map run → stored set id (so `finish_run` can report it).
-#[derive(Default)]
-struct LastSetId(FastMap<u64, u64>);
-
 /// Resume every member using the same coordination discipline as the save.
 fn coordinated_resume(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     let (vc_id, method, round_span) = {
-        let r = runs(sim).runs.get(&run_id).expect("run");
+        let r = ckpt(sim, run_id).expect("run");
         (r.vc, r.method, r.round_span)
     };
     let rspan = sim.open_span("lsc.resume", round_span, run_id);
-    if let Some(r) = runs(sim).runs.get_mut(&run_id) {
+    if let Some(r) = ckpt(sim, run_id) {
         r.resume_span = rspan;
     }
     let members = member_hosts(sim, vc_id);
@@ -915,14 +925,7 @@ fn coordinated_resume(sim: &mut Sim<ClusterWorld>, run_id: u64) {
         }
         LscMethod::Ntp { lead } => {
             let t_fire_local = fire_instant(sim, lead);
-            for (i, vm, host) in members {
-                let d = control::cmd_delay(sim, host);
-                control::ctrl_call(sim, host, d, move |sim| {
-                    schedule_local_fire(sim, host, t_fire_local, move |sim| {
-                        fire_resume(sim, run_id, i, vm);
-                    });
-                });
-            }
+            arm_members(sim, run_id, Side::Resume, members, Some(t_fire_local));
         }
         LscMethod::Hardened { .. } | LscMethod::HardenedNaive { .. } => {
             // The resume side gets the same abort guard as the save side:
@@ -933,145 +936,38 @@ fn coordinated_resume(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     }
     // Resume watchdog: arms can be lost to node crashes.
     sim.schedule_in(SimDuration::from_secs(600), move |sim| {
-        let stuck = runs(sim).runs.get(&run_id).is_some_and(|r| !r.finished);
-        if stuck {
+        if ckpt(sim, run_id).is_some() {
             finish_run(sim, run_id, false, "resume phase timed out".into());
         }
     });
 }
 
-/// One arm/ack round of the hardened resume. Members that already resumed
-/// (a straggler GO from a previous round) are skipped; the round commits —
-/// broadcasts GO — only when every remaining member acks within the
-/// window, otherwise it re-arms, which waits out partitions. A paused
-/// guest is frozen, so patience here costs wall-clock, not correctness.
+/// One arm/ack round of the hardened resume: GO goes out only once every
+/// member has acked within the window; otherwise [`review_acks`] re-arms.
 fn resume_attempt(sim: &mut Sim<ClusterWorld>, run_id: u64) {
-    let (vc_id, epoch, ack_window, max_attempts, attempts) = {
-        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-            return;
-        };
-        if r.finished {
-            return;
-        }
-        r.resume_attempts += 1;
-        r.resume_epoch += 1;
-        r.resume_acks = 0;
-        let (win, max) = match r.method {
-            LscMethod::Hardened {
-                lead, max_attempts, ..
-            } => (lead, max_attempts),
-            LscMethod::HardenedNaive {
-                ack_timeout,
-                max_attempts,
-                ..
-            } => (ack_timeout, max_attempts),
-            _ => (SimDuration::from_secs(5), 1),
-        };
-        (r.vc, r.resume_epoch, win, max, r.resume_attempts)
+    let (vc_id, window) = {
+        let r = ckpt(sim, run_id).expect("run");
+        r.resume.attempt += 1;
+        r.resume.acks = 0;
+        (r.vc, r.method.retry().1)
     };
     let members = member_hosts(sim, vc_id);
-    let needed = {
-        let r = runs(sim).runs.get(&run_id).expect("run");
-        r.expected - r.resumed
-    };
-    for &(i, _vm, host) in &members {
-        let skip = runs(sim)
-            .runs
-            .get(&run_id)
-            .is_some_and(|r| r.resume_times[i].is_some());
-        if skip {
-            continue;
-        }
-        let d = control::cmd_delay(sim, host);
-        control::ctrl_call(sim, host, d, move |sim| {
-            let back = control::cmd_delay(sim, host);
-            sim.schedule_in(back, move |sim| {
-                let all_armed = {
-                    let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.resume_epoch != epoch || r.finished {
-                        return;
-                    }
-                    r.resume_acks += 1;
-                    r.resume_acks == needed
-                };
-                if all_armed {
-                    broadcast_resume_go(sim, run_id, epoch, GO_REPEATS);
-                }
-            });
-        });
-    }
-    sim.schedule_in(ack_window, move |sim| {
-        let ok = {
-            let Some(r) = runs(sim).runs.get(&run_id) else {
-                return;
-            };
-            if r.resume_epoch != epoch || r.finished {
-                return;
-            }
-            r.resume_acks == needed
-        };
-        if ok {
-            return;
-        }
-        if attempts < max_attempts {
-            resume_attempt(sim, run_id);
-        } else {
-            finish_run(
-                sim,
-                run_id,
-                false,
-                "resume arms incomplete after retries".into(),
-            );
-        }
-    });
-}
-
-/// Clock-free resume GO, repeated for drop resilience; `fire_resume`
-/// dedupes arrivals.
-fn broadcast_resume_go(sim: &mut Sim<ClusterWorld>, run_id: u64, epoch: u32, repeats_left: u32) {
-    let vc_id = {
-        let Some(r) = runs(sim).runs.get(&run_id) else {
-            return;
-        };
-        if r.resume_epoch != epoch || r.finished {
-            return;
-        }
-        r.vc
-    };
-    for (i, vm, host) in member_hosts(sim, vc_id) {
-        let already = runs(sim)
-            .runs
-            .get(&run_id)
-            .is_some_and(|r| r.resume_times[i].is_some());
-        if already {
-            continue;
-        }
-        let d = control::cmd_delay(sim, host);
-        control::ctrl_call(sim, host, d, move |sim| {
-            fire_resume(sim, run_id, i, vm);
-        });
-    }
-    if repeats_left > 1 {
-        sim.schedule_in(go_spacing(), move |sim| {
-            broadcast_resume_go(sim, run_id, epoch, repeats_left - 1);
-        });
-    }
+    arm_members(sim, run_id, Side::Resume, members, None);
+    review_acks(sim, run_id, Side::Resume, window);
 }
 
 fn fire_resume(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId) {
     let now = sim.now();
     let (all_resumed, save_ok) = {
-        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
+        let Some(r) = ckpt(sim, run_id) else {
             return;
         };
-        if r.finished || r.resume_times[member].is_some() {
+        let fired = &mut r.resume.fired;
+        if fired[member].is_some() {
             return;
         }
-        r.resume_times[member] = Some(now);
-        r.resumed += 1;
-        (r.resumed == r.expected, r.save_ok)
+        fired[member] = Some(now);
+        (fired.iter().all(Option::is_some), r.save_ok)
     };
     glue::resume_vm(sim, vm);
     if all_resumed {
@@ -1084,72 +980,36 @@ fn fire_resume(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId
     }
 }
 
-fn skew_of(times: &[Option<SimTime>]) -> SimDuration {
-    let known: Vec<SimTime> = times.iter().flatten().copied().collect();
-    if known.len() < 2 {
-        return SimDuration::ZERO;
-    }
-    let min = known.iter().min().unwrap();
-    let max = known.iter().max().unwrap();
-    *max - *min
-}
-
 fn finish_run(sim: &mut Sim<ClusterWorld>, run_id: u64, success: bool, detail: String) {
     let now = sim.now();
-    let (outcome, cb, spans) = {
-        let Some(r) = runs(sim).runs.get_mut(&run_id) else {
-            return;
-        };
-        if r.finished {
-            return;
-        }
-        r.finished = true;
-        let set_id = sim
-            .world
-            .ext
-            .get::<LastSetId>()
-            .and_then(|m| m.0.get(&run_id).copied());
-        let r = runs(sim).runs.get_mut(&run_id).unwrap();
-        let outcome = LscOutcome {
-            vc: r.vc,
-            method: r.method.name(),
-            success,
-            set_id,
-            pause_skew: skew_of(&r.pause_times),
-            resume_skew: skew_of(&r.resume_times),
-            save_duration: r
-                .save_done_at
-                .map(|t| t - r.started)
-                .unwrap_or(SimDuration::ZERO),
-            total_duration: now - r.started,
-            attempts: r.attempts,
-            detail,
-        };
-        // Whatever phase the run died in, its open spans close now —
-        // children first, the round root last.
-        let mut spans: Vec<SpanId> = Vec::new();
-        spans.extend(r.dispatch_spans.iter().copied());
-        spans.extend(r.save_spans.iter().copied());
-        spans.push(r.ack_span);
-        spans.push(r.resume_span);
-        spans.push(r.round_span);
-        (outcome, r.on_done.take(), spans)
+    let Some(r) = close_run::<CkptRun>(sim, run_id) else {
+        return;
     };
-    if let Some(v) = vc::vc_mut(sim, outcome.vc) {
-        v.state = VcState::Up;
-    }
-    runs(sim).runs.remove(&run_id);
-    for s in spans {
-        sim.close_span(s);
-    }
-    sim.emit(Event::Lsc(LscEvent::RunFinished {
-        run: run_id,
-        vc: outcome.vc.0,
+    let outcome = LscOutcome {
+        vc: r.vc,
+        method: r.method.name(),
         success,
-    }));
-    if let Some(cb) = cb {
-        cb(sim, outcome);
-    }
+        set_id: r.set_id,
+        pause_skew: skew_of(&r.save.fired),
+        resume_skew: skew_of(&r.resume.fired),
+        save_duration: r.save_done_at.map_or(SimDuration::ZERO, |t| t - r.started),
+        total_duration: now - r.started,
+        attempts: r.save.attempt,
+        detail,
+    };
+    // Whatever phase the run died in, its open spans close now.
+    let mut spans = r.dispatch_spans;
+    spans.extend(r.save_spans);
+    spans.extend([r.ack_span, r.resume_span, r.round_span]);
+    let on_done = r.on_done;
+    end_run(sim, r.vc, VcState::Up, spans, move |sim| {
+        sim.emit(Event::Lsc(LscEvent::RunFinished {
+            run: run_id,
+            vc: outcome.vc.0,
+            success,
+        }));
+        on_done(sim, outcome);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -1186,17 +1046,12 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-type RestoreCb = Box<dyn FnOnce(&mut Sim<ClusterWorld>, RestoreOutcome)>;
-
 struct RestoreRun {
     vc: VcId,
     started: SimTime,
-    expected: usize,
     placed: usize,
     resume_times: Vec<Option<SimTime>>,
-    resumed: usize,
-    finished: bool,
-    on_done: Option<RestoreCb>,
+    on_done: Done<RestoreOutcome>,
     /// Causal spans, same ownership rule as [`CkptRun`]: the record holds
     /// them so any terminal path can close what is still open.
     span: SpanId,
@@ -1204,10 +1059,8 @@ struct RestoreRun {
     resume_span: SpanId,
 }
 
-#[derive(Default)]
-struct RestoreRuns {
-    runs: FastMap<u64, RestoreRun>,
-    next: u64,
+fn restore_run(sim: &mut Sim<ClusterWorld>, run_id: u64) -> Option<&mut RestoreRun> {
+    get_run(sim, run_id)
 }
 
 /// Restore checkpoint set `set_id` onto `targets` (one per vnode; may be a
@@ -1255,40 +1108,22 @@ pub fn restore_vc(
         glue::destroy_vm(sim, vm);
     }
 
-    let now = sim.now();
-    let n_images = images.len();
-    let run_id = {
-        let rr = sim.world.ext.get_or_default::<RestoreRuns>();
-        rr.next += 1;
-        let id = rr.next;
-        rr.runs.insert(
-            id,
-            RestoreRun {
-                vc: vc_id,
-                started: now,
-                expected: images.len(),
-                placed: 0,
-                resume_times: vec![None; images.len()],
-                resumed: 0,
-                finished: false,
-                on_done: Some(Box::new(on_done)),
-                span: SpanId::NONE,
-                stage_spans: vec![SpanId::NONE; n_images],
-                resume_span: SpanId::NONE,
-            },
-        );
-        id
-    };
+    let n = images.len();
+    let run_id = open_run(
+        sim,
+        RestoreRun {
+            vc: vc_id,
+            started: sim.now(),
+            placed: 0,
+            resume_times: vec![None; n],
+            on_done: Box::new(on_done),
+            span: SpanId::NONE,
+            stage_spans: vec![SpanId::NONE; n],
+            resume_span: SpanId::NONE,
+        },
+    );
     let root = sim.open_span("lsc.restore", SpanId::NONE, run_id);
-    if let Some(r) = sim
-        .world
-        .ext
-        .get_or_default::<RestoreRuns>()
-        .runs
-        .get_mut(&run_id)
-    {
-        r.span = root;
-    }
+    restore_run(sim, run_id).expect("run").span = root;
 
     // Stage all images (contended storage reads, retried per config),
     // verifying each checksum end-to-end before placing it paused.
@@ -1296,51 +1131,39 @@ pub fn restore_vc(
         let bytes = image.size_bytes();
         storage::note_bytes(sim, bytes);
         let sspan = sim.open_span("storage.stage", root, bytes);
-        if let Some(r) = sim
-            .world
-            .ext
-            .get_or_default::<RestoreRuns>()
-            .runs
-            .get_mut(&run_id)
-        {
+        if let Some(r) = restore_run(sim, run_id) {
             r.stage_spans[i] = sspan;
         }
         storage::transfer_with_retry(sim, bytes, move |sim, ok| {
-            // Take the stage span from the record (a run ended early may
-            // have closed it already — then this is NONE and a no-op).
-            let sspan = sim
-                .world
-                .ext
-                .get_or_default::<RestoreRuns>()
-                .runs
-                .get_mut(&run_id)
-                .map(|r| std::mem::replace(&mut r.stage_spans[i], SpanId::NONE))
-                .unwrap_or(SpanId::NONE);
-            sim.close_span(sspan);
-            if !ok {
-                restore_failed(sim, run_id, "storage read gave up after retries".into());
-                return;
+            // A restore that has already ended closed its stage spans and
+            // left no record; its late images are still placed (paused).
+            if let Some(r) = restore_run(sim, run_id) {
+                let sspan = std::mem::take(&mut r.stage_spans[i]);
+                sim.close_span(sspan);
             }
-            if !sim.world.node(target).up {
-                restore_failed(sim, run_id, format!("target node {target:?} is down"));
-                return;
-            }
-            if !image.verify() {
-                restore_failed(
-                    sim,
-                    run_id,
-                    format!("staged image of {:?} failed its checksum", image.vm),
-                );
+            let failure = if !ok {
+                Some("storage read gave up after retries".to_string())
+            } else if !sim.world.node(target).up {
+                Some(format!("target node {target:?} is down"))
+            } else if !image.verify() {
+                Some(format!(
+                    "staged image of {:?} failed its checksum",
+                    image.vm
+                ))
+            } else {
+                None
+            };
+            if let Some(detail) = failure {
+                restore_finished(sim, run_id, false, detail);
                 return;
             }
             glue::place_image_paused(sim, &image, target);
             let all_placed = {
-                let rr = sim.world.ext.get_or_default::<RestoreRuns>();
-                let Some(r) = rr.runs.get_mut(&run_id) else {
+                let Some(r) = restore_run(sim, run_id) else {
                     return;
                 };
                 r.placed += 1;
-                r.placed == r.expected
+                r.placed == r.resume_times.len()
             };
             if all_placed {
                 restore_resume_all(sim, run_id, lead);
@@ -1369,138 +1192,62 @@ pub fn restore_vc_intact(
     Ok(set_id)
 }
 
+/// Every image is placed: resume all members at one shared local-clock
+/// instant. The arms go out as a repeated GO, so a single dropped control
+/// message can't strand the whole restore; the instant is shared, so
+/// repeats add no skew.
 fn restore_resume_all(sim: &mut Sim<ClusterWorld>, run_id: u64, lead: SimDuration) {
-    let root = sim
-        .world
-        .ext
-        .get_or_default::<RestoreRuns>()
-        .runs
-        .get(&run_id)
-        .map(|r| r.span)
-        .unwrap_or(SpanId::NONE);
+    let root = restore_run(sim, run_id).expect("run").span;
     let rspan = sim.open_span("lsc.restore_resume", root, run_id);
-    if let Some(r) = sim
-        .world
-        .ext
-        .get_or_default::<RestoreRuns>()
-        .runs
-        .get_mut(&run_id)
-    {
-        r.resume_span = rspan;
-    }
+    restore_run(sim, run_id).expect("run").resume_span = rspan;
     let t_fire_local = fire_instant(sim, lead);
-    restore_resume_round(sim, run_id, t_fire_local, GO_REPEATS);
+    broadcast_go(
+        sim,
+        GO_REPEATS,
+        move |sim| restore_run(sim, run_id).map(|r| (r.vc, r.resume_times.clone())),
+        move |sim, i, vm, host| {
+            schedule_local_fire(sim, host, t_fire_local, move |sim| {
+                restore_resume(sim, run_id, i, vm);
+            });
+        },
+    );
 }
 
-/// One round of restore resume arms. Arms are re-sent a few times (to
-/// members not yet seen resuming) so a single dropped control message
-/// can't strand the whole restore; the fire instant is shared, so repeats
-/// add no skew, and the per-member dedupe makes duplicates harmless.
-fn restore_resume_round(
-    sim: &mut Sim<ClusterWorld>,
-    run_id: u64,
-    t_fire_local: i64,
-    repeats_left: u32,
-) {
-    let vc_id = {
-        let rr = sim.world.ext.get_or_default::<RestoreRuns>();
-        let Some(r) = rr.runs.get(&run_id) else {
+fn restore_resume(sim: &mut Sim<ClusterWorld>, run_id: u64, member: usize, vm: VmId) {
+    let now = sim.now();
+    let done = {
+        let Some(r) = restore_run(sim, run_id) else {
             return;
         };
-        if r.finished {
+        if r.resume_times[member].is_some() {
             return;
         }
-        r.vc
+        r.resume_times[member] = Some(now);
+        r.resume_times.iter().all(Option::is_some)
     };
-    let members = member_hosts(sim, vc_id);
-    for (i, vm, host) in members {
-        let already = sim
-            .world
-            .ext
-            .get::<RestoreRuns>()
-            .and_then(|rr| rr.runs.get(&run_id))
-            .is_some_and(|r| r.resume_times[i].is_some());
-        if already {
-            continue;
-        }
-        let d = control::cmd_delay(sim, host);
-        control::ctrl_call(sim, host, d, move |sim| {
-            schedule_local_fire(sim, host, t_fire_local, move |sim| {
-                let now = sim.now();
-                let done = {
-                    let rr = sim.world.ext.get_or_default::<RestoreRuns>();
-                    let Some(r) = rr.runs.get_mut(&run_id) else {
-                        return;
-                    };
-                    if r.finished || r.resume_times[i].is_some() {
-                        return;
-                    }
-                    r.resume_times[i] = Some(now);
-                    r.resumed += 1;
-                    r.resumed == r.expected
-                };
-                glue::resume_vm(sim, vm);
-                if done {
-                    restore_finished(sim, run_id, true, "ok".into());
-                }
-            });
-        });
+    glue::resume_vm(sim, vm);
+    if done {
+        restore_finished(sim, run_id, true, "ok".into());
     }
-    if repeats_left > 1 {
-        sim.schedule_in(go_spacing(), move |sim| {
-            restore_resume_round(sim, run_id, t_fire_local, repeats_left - 1);
-        });
-    }
-}
-
-fn restore_failed(sim: &mut Sim<ClusterWorld>, run_id: u64, detail: String) {
-    restore_finished(sim, run_id, false, detail);
 }
 
 fn restore_finished(sim: &mut Sim<ClusterWorld>, run_id: u64, success: bool, detail: String) {
     let now = sim.now();
-    let (outcome, cb, spans) = {
-        let rr = sim.world.ext.get_or_default::<RestoreRuns>();
-        let Some(r) = rr.runs.get_mut(&run_id) else {
-            return;
-        };
-        if r.finished {
-            return;
-        }
-        r.finished = true;
-        let outcome = RestoreOutcome {
-            vc: r.vc,
-            success,
-            resume_skew: skew_of(&r.resume_times),
-            duration: now - r.started,
-            detail,
-        };
-        // Close whatever is still open, children before the restore root.
-        // Stage spans are *taken* (not just read) so an in-flight staging
-        // transfer's callback finds NONE and cannot double-close.
-        let mut spans: Vec<SpanId> = r
-            .stage_spans
-            .iter_mut()
-            .map(|s| std::mem::replace(s, SpanId::NONE))
-            .collect();
-        spans.push(std::mem::replace(&mut r.resume_span, SpanId::NONE));
-        spans.push(std::mem::replace(&mut r.span, SpanId::NONE));
-        (outcome, r.on_done.take(), spans)
+    let Some(r) = close_run::<RestoreRun>(sim, run_id) else {
+        return;
     };
-    if let Some(v) = vc::vc_mut(sim, outcome.vc) {
-        v.state = if success { VcState::Up } else { VcState::Down };
-    }
-    sim.world
-        .ext
-        .get_or_default::<RestoreRuns>()
-        .runs
-        .remove(&run_id);
-    for s in spans {
-        sim.close_span(s);
-    }
-    if let Some(cb) = cb {
-        cb(sim, outcome);
-    }
+    let outcome = RestoreOutcome {
+        vc: r.vc,
+        success,
+        resume_skew: skew_of(&r.resume_times),
+        duration: now - r.started,
+        detail,
+    };
+    let mut spans = r.stage_spans;
+    spans.extend([r.resume_span, r.span]);
+    let state = if success { VcState::Up } else { VcState::Down };
+    let on_done = r.on_done;
+    end_run(sim, r.vc, state, spans, move |sim| on_done(sim, outcome));
 }
 
 #[cfg(test)]

@@ -24,11 +24,12 @@
 //! two strategies can be compared (bench `experiments e6`/`e9` vs. the
 //! `live_migration` test).
 
+use crate::lsc::{close_run, end_run, get_run, open_run, skew_of, Done};
 use crate::vc::{self, VcId, VcState};
 use dvc_cluster::glue;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::world::ClusterWorld;
-use dvc_sim_core::{Event, FastMap, Sim, SimDuration, SimTime, SpanId, VmmEvent};
+use dvc_sim_core::{Event, Sim, SimDuration, SimTime, SpanId, VmmEvent};
 use dvc_vmm::migrate::{plan_precopy, PrecopyParams};
 use dvc_vmm::VmImage;
 
@@ -80,17 +81,12 @@ struct LiveRun {
     vc: VcId,
     targets: Vec<NodeId>,
     residue_done: usize,
-    expected: usize,
     pause_times: Vec<Option<SimTime>>,
     images: Vec<Option<VmImage>>,
-    paused_at: Option<SimTime>,
-    resumed: usize,
-    finished: bool,
     total_bytes: u64,
     started: SimTime,
     live_end: Option<SimTime>,
-    #[allow(clippy::type_complexity)]
-    on_done: Option<Box<dyn FnOnce(&mut Sim<ClusterWorld>, LiveMigrateOutcome)>>,
+    on_done: Done<LiveMigrateOutcome>,
     /// Causal spans, owned by the record (see [`crate::lsc`]): any terminal
     /// path closes what is still open, children before the root.
     span: SpanId,
@@ -98,10 +94,8 @@ struct LiveRun {
     cutover_spans: Vec<SpanId>,
 }
 
-#[derive(Default)]
-struct LiveRuns {
-    runs: FastMap<u64, LiveRun>,
-    next: u64,
+fn live(sim: &mut Sim<ClusterWorld>, run_id: u64) -> Option<&mut LiveRun> {
+    get_run(sim, run_id)
 }
 
 /// Live-migrate an entire virtual cluster onto `targets`.
@@ -139,43 +133,28 @@ pub fn live_migrate_vc(
         residues.push(plan.final_bytes);
     }
 
-    let now = sim.now();
-    let run_id = {
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        lr.next += 1;
-        let id = lr.next;
-        lr.runs.insert(
-            id,
-            LiveRun {
-                vc: vc_id,
-                targets,
-                residue_done: 0,
-                expected: n,
-                pause_times: vec![None; n],
-                images: std::iter::repeat_with(|| None).take(n).collect(),
-                paused_at: None,
-                resumed: 0,
-                finished: false,
-                total_bytes,
-                started: now,
-                live_end: None,
-                on_done: Some(Box::new(on_done)),
-                span: SpanId::NONE,
-                precopy_span: SpanId::NONE,
-                cutover_spans: vec![SpanId::NONE; n],
-            },
-        );
-        id
-    };
+    let run_id = open_run(
+        sim,
+        LiveRun {
+            vc: vc_id,
+            targets,
+            residue_done: 0,
+            pause_times: vec![None; n],
+            images: vec![None; n],
+            total_bytes,
+            started: sim.now(),
+            live_end: None,
+            on_done: Box::new(on_done),
+            span: SpanId::NONE,
+            precopy_span: SpanId::NONE,
+            cutover_spans: vec![SpanId::NONE; n],
+        },
+    );
     let root = sim.open_span("migrate.live", SpanId::NONE, run_id);
     let pspan = sim.open_span("migrate.precopy", root, total_bytes);
-    {
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        if let Some(r) = lr.runs.get_mut(&run_id) {
-            r.span = root;
-            r.precopy_span = pspan;
-        }
-    }
+    let r = live(sim, run_id).expect("run");
+    r.span = root;
+    r.precopy_span = pspan;
 
     // Phase 1: the live phase runs concurrently for all VMs (guests keep
     // executing). When the slowest finishes, schedule the coordinated
@@ -183,17 +162,11 @@ pub fn live_migrate_vc(
     sim.schedule_in(live_end, move |sim| {
         let head = sim.world.head;
         let t_fire = glue::local_now(sim, head) + cfg.cutover_lead.nanos() as i64;
-        let pspan = {
-            let now = sim.now();
-            let lr = sim.world.ext.get_or_default::<LiveRuns>();
-            match lr.runs.get_mut(&run_id) {
-                Some(r) => {
-                    r.live_end = Some(now);
-                    std::mem::replace(&mut r.precopy_span, SpanId::NONE)
-                }
-                None => SpanId::NONE,
-            }
-        };
+        let now = sim.now();
+        let pspan = live(sim, run_id).map_or(SpanId::NONE, |r| {
+            r.live_end = Some(now);
+            std::mem::take(&mut r.precopy_span)
+        });
         sim.close_span(pspan);
         for (i, &vm) in vms.iter().enumerate() {
             let Some(&host) = sim.world.vm_host.get(&vm) else {
@@ -237,45 +210,24 @@ fn cutover_one(
     sim.emit(Event::Vmm(VmmEvent::MigrateCutover { vm: vm.0 }));
     let now = sim.now();
     let image = sim.world.vm_mut(vm).unwrap().snapshot(now);
-    let root = {
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        let Some(r) = lr.runs.get_mut(&run_id) else {
-            return;
-        };
-        if r.finished {
-            return;
-        }
-        r.pause_times[member] = Some(now);
-        if r.paused_at.is_none() {
-            r.paused_at = Some(now);
-        }
-        r.images[member] = Some(image);
-        r.span
+    let Some(r) = live(sim, run_id) else {
+        return;
     };
+    r.pause_times[member] = Some(now);
+    r.images[member] = Some(image);
+    let root = r.span;
     let cspan = sim.open_span("migrate.cutover", root, vm.0 as u64);
-    if let Some(r) = sim
-        .world
-        .ext
-        .get_or_default::<LiveRuns>()
-        .runs
-        .get_mut(&run_id)
-    {
-        r.cutover_spans[member] = cspan;
-    }
+    live(sim, run_id).expect("run").cutover_spans[member] = cspan;
     // Ship the residue point-to-point (not via shared storage).
     let ship = SimDuration::from_secs_f64(residue as f64 / cfg.link_bps);
     sim.schedule_in(ship, move |sim| {
         let (cspan, all_done) = {
-            let lr = sim.world.ext.get_or_default::<LiveRuns>();
-            let Some(r) = lr.runs.get_mut(&run_id) else {
+            let Some(r) = live(sim, run_id) else {
                 return;
             };
-            if r.finished {
-                return;
-            }
             r.residue_done += 1;
-            let c = std::mem::replace(&mut r.cutover_spans[member], SpanId::NONE);
-            (c, r.residue_done == r.expected)
+            let c = std::mem::take(&mut r.cutover_spans[member]);
+            (c, r.residue_done == r.targets.len())
         };
         sim.close_span(cspan);
         if all_done {
@@ -287,10 +239,7 @@ fn cutover_one(
 /// All residues landed: place every image on its target and resume together.
 fn place_and_resume_all(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     let (vc_id, images, targets) = {
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        let Some(r) = lr.runs.get_mut(&run_id) else {
-            return;
-        };
+        let r = live(sim, run_id).expect("run");
         let images: Vec<VmImage> = r
             .images
             .iter_mut()
@@ -309,69 +258,35 @@ fn place_and_resume_all(sim: &mut Sim<ClusterWorld>, run_id: u64) {
     if let Some(v) = vc::vc_mut(sim, vc_id) {
         v.hosts = targets;
     }
-    let resumed_at = sim.now();
-    for (i, vm) in vm_ids.into_iter().enumerate() {
+    for vm in vm_ids {
         glue::resume_vm(sim, vm);
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        if let Some(r) = lr.runs.get_mut(&run_id) {
-            r.resumed += 1;
-            let _ = i;
-        }
     }
-    let _ = resumed_at;
     finish(sim, run_id, true, "ok".into());
 }
 
 fn finish(sim: &mut Sim<ClusterWorld>, run_id: u64, success: bool, detail: String) {
     let now = sim.now();
-    let (outcome, cb, spans) = {
-        let lr = sim.world.ext.get_or_default::<LiveRuns>();
-        let Some(r) = lr.runs.get_mut(&run_id) else {
-            return;
-        };
-        if r.finished {
-            return;
-        }
-        r.finished = true;
-        let known: Vec<SimTime> = r.pause_times.iter().flatten().copied().collect();
-        let skew = match (known.iter().min(), known.iter().max()) {
-            (Some(a), Some(b)) => *b - *a,
-            _ => SimDuration::ZERO,
-        };
-        let outcome = LiveMigrateOutcome {
-            vc: r.vc,
-            success,
-            live_phase: r
-                .live_end
-                .map(|t| t - r.started)
-                .unwrap_or(SimDuration::ZERO),
-            downtime: r.paused_at.map(|t| now - t).unwrap_or(SimDuration::ZERO),
-            pause_skew: skew,
-            total_bytes: r.total_bytes,
-            detail,
-        };
-        // Close remaining spans, children before the migrate.live root.
-        let mut spans: Vec<SpanId> = r
-            .cutover_spans
-            .iter_mut()
-            .map(|s| std::mem::replace(s, SpanId::NONE))
-            .collect();
-        spans.push(std::mem::replace(&mut r.precopy_span, SpanId::NONE));
-        spans.push(std::mem::replace(&mut r.span, SpanId::NONE));
-        (outcome, r.on_done.take(), spans)
+    let Some(r) = close_run::<LiveRun>(sim, run_id) else {
+        return;
     };
-    if let Some(v) = vc::vc_mut(sim, outcome.vc) {
-        v.state = if success { VcState::Up } else { VcState::Down };
-    }
-    sim.world
-        .ext
-        .get_or_default::<LiveRuns>()
-        .runs
-        .remove(&run_id);
-    for s in spans {
-        sim.close_span(s);
-    }
-    if let Some(cb) = cb {
-        cb(sim, outcome);
-    }
+    let outcome = LiveMigrateOutcome {
+        vc: r.vc,
+        success,
+        live_phase: r.live_end.map_or(SimDuration::ZERO, |t| t - r.started),
+        // Guests paused together, so downtime runs from the first pause.
+        downtime: r
+            .pause_times
+            .iter()
+            .flatten()
+            .min()
+            .map_or(SimDuration::ZERO, |&t| now - t),
+        pause_skew: skew_of(&r.pause_times),
+        total_bytes: r.total_bytes,
+        detail,
+    };
+    let mut spans = r.cutover_spans;
+    spans.extend([r.precopy_span, r.span]);
+    let state = if success { VcState::Up } else { VcState::Down };
+    let on_done = r.on_done;
+    end_run(sim, r.vc, state, spans, move |sim| on_done(sim, outcome));
 }

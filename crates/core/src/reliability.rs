@@ -136,7 +136,7 @@ pub fn manage(sim: &mut Sim<ClusterWorld>, vc_id: VcId, policy: Policy) {
         },
     );
     if !matches!(policy.cadence, Cadence::None) {
-        checkpoint_now(sim, vc_id);
+        checkpoint_now(sim, vc_id, false);
     }
     schedule_ckpt_tick(sim, vc_id);
     schedule_scan(sim, vc_id);
@@ -180,15 +180,25 @@ fn effective_method(sim: &Sim<ClusterWorld>, vc_id: VcId, policy: Policy) -> (Ls
     }
 }
 
-/// Take a checkpoint immediately (if healthy and idle).
-fn checkpoint_now(sim: &mut Sim<ClusterWorld>, vc_id: VcId) {
+/// Take a checkpoint now if the VC is managed, idle and healthy. The
+/// periodic caller passes `then_tick`: the next tick is scheduled when this
+/// one is skipped, or once its checkpoint ends.
+fn checkpoint_now(sim: &mut Sim<ClusterWorld>, vc_id: VcId, then_tick: bool) {
     let (active, busy, policy) = {
         let Some(st) = mgrs(sim).0.get(&vc_id) else {
             return;
         };
         (st.active, st.busy, st.policy)
     };
-    if !active || busy || !vc_healthy(sim, vc_id) {
+    if !active {
+        return;
+    }
+    if busy || !vc_healthy(sim, vc_id) {
+        // A checkpoint or recovery is in flight, or the VC is down; try
+        // again next tick.
+        if then_tick {
+            schedule_ckpt_tick(sim, vc_id);
+        }
         return;
     }
     let (method, degraded) = effective_method(sim, vc_id, policy);
@@ -211,7 +221,11 @@ fn checkpoint_now(sim: &mut Sim<ClusterWorld>, vc_id: VcId) {
                 st.stats.checkpoints_failed += 1;
             }
         }
+        // Keep a bounded history of sets.
         vc::store(sim).prune(vc_id, 2);
+        if then_tick {
+            schedule_ckpt_tick(sim, vc_id);
+        }
     });
 }
 
@@ -248,51 +262,7 @@ fn schedule_ckpt_tick(sim: &mut Sim<ClusterWorld>, vc_id: VcId) {
     let Some(interval) = current_interval(st) else {
         return;
     };
-    sim.schedule_in(interval, move |sim| {
-        let (active, busy, policy) = {
-            let Some(st) = mgrs(sim).0.get(&vc_id) else {
-                return;
-            };
-            (st.active, st.busy, st.policy)
-        };
-        if !active {
-            return;
-        }
-        if busy {
-            // A checkpoint or recovery is in flight; try again next tick.
-            schedule_ckpt_tick(sim, vc_id);
-            return;
-        }
-        // VC must be healthy to checkpoint.
-        if !vc_healthy(sim, vc_id) {
-            schedule_ckpt_tick(sim, vc_id);
-            return;
-        }
-        let (method, degraded) = effective_method(sim, vc_id, policy);
-        if let Some(st) = mgrs(sim).0.get_mut(&vc_id) {
-            st.busy = true;
-            if degraded {
-                st.stats.degraded_checkpoints += 1;
-            }
-        }
-        if degraded {
-            sim.emit(Event::Ntp(NtpEvent::SyncStale { vc: vc_id.0 }));
-        }
-        lsc::checkpoint_vc(sim, vc_id, method, move |sim, outcome| {
-            if let Some(st) = mgrs(sim).0.get_mut(&vc_id) {
-                st.busy = false;
-                if outcome.success {
-                    st.stats.checkpoints_ok += 1;
-                    st.last_cost = Some(outcome.total_duration);
-                } else {
-                    st.stats.checkpoints_failed += 1;
-                }
-            }
-            // Keep a bounded history of sets.
-            vc::store(sim).prune(vc_id, 2);
-            schedule_ckpt_tick(sim, vc_id);
-        });
-    });
+    sim.schedule_in(interval, move |sim| checkpoint_now(sim, vc_id, true));
 }
 
 fn vc_healthy(sim: &Sim<ClusterWorld>, vc_id: VcId) -> bool {
@@ -369,24 +339,23 @@ fn recover(sim: &mut Sim<ClusterWorld>, vc_id: VcId) {
         vc::store(sim).latest_for(vc_id).map(|s| s.id)
     };
     let n = vc::vc(sim, vc_id).map(|v| v.vms.len()).unwrap_or(0);
-    let give_up = |sim: &mut Sim<ClusterWorld>, why: &str| {
+    let give_up = |sim: &mut Sim<ClusterWorld>| {
         if let Some(st) = mgrs(sim).0.get_mut(&vc_id) {
             st.stats.lost = true;
             st.active = false;
             st.busy = false;
         }
-        let _ = why;
     };
     if restores >= allowed {
-        give_up(sim, "restore budget exhausted");
+        give_up(sim);
         return;
     }
     let Some(set_id) = set_id else {
-        give_up(sim, "no checkpoint set exists");
+        give_up(sim);
         return;
     };
     let Some(targets) = pick_targets(sim, n, true) else {
-        give_up(sim, "not enough healthy nodes");
+        give_up(sim);
         return;
     };
     if let Some(st) = mgrs(sim).0.get_mut(&vc_id) {
@@ -397,17 +366,16 @@ fn recover(sim: &mut Sim<ClusterWorld>, vc_id: VcId) {
         set_id,
         targets,
         SimDuration::from_secs(5),
-        move |sim, out| {
+        move |sim, _out| {
+            // A failed restore leaves the VC unhealthy: the scan tries
+            // again (counting against the budget).
             if let Some(st) = mgrs(sim).0.get_mut(&vc_id) {
                 st.busy = false;
-                if !out.success {
-                    // The scan will try again (counts against the budget).
-                }
             }
         },
     );
     if started.is_err() {
-        give_up(sim, "restore could not start");
+        give_up(sim);
     }
 }
 

@@ -120,7 +120,7 @@ pub struct PhaseAttribution {
 
 impl PhaseAttribution {
     /// `budget` is the guest TCP silence budget margins are computed
-    /// against (see [`crate::InvariantChecker::default_budget`]).
+    /// against (`WorldConfig::silence_budget` in `dvc-cluster`).
     pub fn new(budget: SimDuration) -> Self {
         PhaseAttribution {
             budget,

@@ -72,12 +72,6 @@ impl InvariantChecker {
         }
     }
 
-    /// The silence budget for the default world TCP config
-    /// (`rto_min` 200 ms, 4 retries ⇒ 3 s).
-    pub fn default_budget() -> SimDuration {
-        SimDuration::from_secs_f64(0.2 * ((1u64 << 4) - 1) as f64)
-    }
-
     pub fn violations(&self) -> &[String] {
         &self.violations
     }
