@@ -2,8 +2,8 @@
 //!
 //! Samples random scenarios (topology × workload × coordinator × fault
 //! plan) from a campaign seed, runs each under the full oracle stack
-//! (invariants, span well-formedness, margin consistency, event/metrics
-//! cross-checks, liveness, same-seed determinism), and on a violation
+//! (invariants, span well-formedness, event/metrics cross-checks,
+//! liveness, same-seed determinism), and on a violation
 //! shrinks the scenario to a minimal TOML reproducer.
 //!
 //! Campaigns are bit-replayable: `(campaign seed, trial index)` fully

@@ -18,9 +18,7 @@ use dvc_bench::table::Table;
 use dvc_net::fabric::LinkParams;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig};
-use dvc_net::testkit::{
-    drain, local_now, pause, restore, run_until, snapshot, DropRule, TestWorld,
-};
+use dvc_net::testkit::{drain, local_now, pause, restore, snapshot, DropRule, TestWorld};
 use dvc_sim_core::{Sim, SimDuration, SimTime};
 
 const A: usize = 0;
@@ -32,7 +30,7 @@ fn establish(sim: &mut Sim<TestWorld>) -> (SockId, SockId) {
     let b_addr = sim.world.hosts[B].addr;
     let sa = sim.world.hosts[A].tcp.connect(now, b_addr, 7000);
     drain(sim, A);
-    run_until(sim, SimTime::from_secs_f64(10.0), |sim| {
+    sim.run_until(SimTime::from_secs_f64(10.0), |sim| {
         sim.world.hosts[B]
             .events
             .iter()
@@ -87,7 +85,7 @@ fn scenario(kind: &str) -> (usize, bool, bool) {
                 pred: is_pure_ack,
                 dropped: 0,
             });
-            run_until(&mut sim, SimTime::from_secs_f64(5.0), |sim| {
+            sim.run_until(SimTime::from_secs_f64(5.0), |sim| {
                 sim.world.hosts[B].tcp.readable_bytes(sb) >= 20
             });
             pause(&mut sim, B);
@@ -108,7 +106,7 @@ fn scenario(kind: &str) -> (usize, bool, bool) {
             let now = local_now(&sim);
             sim.world.hosts[A].tcp.send(now, sa, msg);
             drain(&mut sim, A);
-            run_until(&mut sim, SimTime::from_secs_f64(5.0), |sim| {
+            sim.run_until(SimTime::from_secs_f64(5.0), |sim| {
                 sim.world.hosts[B].tcp.readable_bytes(sb) >= 20
             });
             // B's application consumes the message, then B alone is rolled
@@ -125,7 +123,7 @@ fn scenario(kind: &str) -> (usize, bool, bool) {
     }
 
     // Drive to quiescence and collect what the (restored) receiver has.
-    run_until(&mut sim, SimTime::from_secs_f64(120.0), |sim| {
+    sim.run_until(SimTime::from_secs_f64(120.0), |sim| {
         sim.events_pending() == 0
     });
     let now = local_now(&sim);

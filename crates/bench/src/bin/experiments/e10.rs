@@ -15,7 +15,7 @@
 //! time of successful runs, and restores performed.
 
 use crate::Opts;
-use dvc_bench::scen::{ring_verdict, run_until, settle, TrialWorld};
+use dvc_bench::scen::{ring_verdict, settle, TrialWorld};
 use dvc_bench::table::{pct, secs, Table};
 use dvc_cluster::failure::{arm_failures, FailureProcess};
 use dvc_core::lsc::LscMethod;
@@ -104,7 +104,7 @@ fn one(seed: u64, mtbf_s: f64, arm: Arm) -> TrialOut {
         },
     );
 
-    let done = run_until(&mut sim, horizon, |sim| harness::all_done(sim, &job));
+    let done = sim.run_until(horizon, |sim| harness::all_done(sim, &job));
     let v = ring_verdict(&sim, &job);
     let restores = reliability::stats(&mut sim, vc_id).restores;
     TrialOut {

@@ -28,8 +28,8 @@
 //! hardened pipeline still finishes ≥ 99% of them — and the whole campaign
 //! replays bit-identically from its seed.
 
-use crate::{write_export, Opts, EXPORT_CAP};
-use dvc_bench::scen::{ring_verdict, run_until, settle, TrialWorld};
+use crate::{attach_sinks, write_export, Opts, SinkReport};
+use dvc_bench::scen::{ring_verdict, settle, TrialWorld};
 use dvc_bench::table::{pct, secs, Table};
 use dvc_cluster::failure;
 use dvc_cluster::faults::install_fault_plan;
@@ -39,12 +39,9 @@ use dvc_core::vc;
 use dvc_mpi::harness;
 use dvc_sim_core::trial::run_trials;
 use dvc_sim_core::{
-    CheckCounts, FaultPlan, InvariantChecker, JsonlSink, Metrics, MetricsSnapshot, SimDuration,
-    SimTime,
+    CheckCounts, FaultPlan, JsonlSink, Metrics, MetricsSnapshot, SimDuration, SimTime,
 };
 use dvc_workloads::ring;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 #[derive(Clone, Copy, PartialEq)]
 enum Arm {
@@ -59,9 +56,7 @@ struct TrialOut {
     degraded: u32,
     injected: u64,
     metrics: MetricsSnapshot,
-    violations: Vec<String>,
-    checked: Option<CheckCounts>,
-    jsonl: Option<JsonlSink>,
+    sinks: SinkReport,
 }
 
 const CKPT_EVERY: u64 = 45;
@@ -116,18 +111,7 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
     };
     let (mut sim, vc_id) = tw.build();
     sim.metrics = Metrics::enabled();
-    let checker = check.then(|| {
-        let c = Rc::new(RefCell::new(InvariantChecker::new(
-            sim.world.cfg.silence_budget(),
-        )));
-        sim.attach_sink(c.clone());
-        c
-    });
-    let exporter = export.then(|| {
-        let s = Rc::new(RefCell::new(JsonlSink::new(EXPORT_CAP)));
-        sim.attach_sink(s.clone());
-        s
-    });
+    let sinks = attach_sinks(&mut sim, check, export);
     if arm == Arm::Baseline {
         // The un-hardened pipeline: a failed storage transfer is final.
         sim.world.cfg.storage_retry.max_attempts = 1;
@@ -157,7 +141,7 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
     sim.schedule_at(crash_at, |sim| failure::crash_node(sim, NodeId(3)));
 
     let horizon = t_start + SimDuration::from_secs_f64(6.0 * 300.0);
-    let done = run_until(&mut sim, horizon, |sim| harness::all_done(sim, &job));
+    let done = sim.run_until(horizon, |sim| harness::all_done(sim, &job));
     let v = ring_verdict(&sim, &job);
     let rel = reliability::stats(&mut sim, vc_id);
     // Fold the engine's own queue-health counters into the rollup.
@@ -170,12 +154,7 @@ fn one(seed: u64, x: f64, arm: Arm, check: bool, export: bool) -> TrialOut {
         degraded: rel.degraded_checkpoints,
         injected: sim.world.faults.injected_total(),
         metrics: sim.metrics.snapshot(),
-        violations: checker
-            .as_ref()
-            .map(|c| c.borrow().violations().to_vec())
-            .unwrap_or_default(),
-        checked: checker.map(|c| c.borrow().counts()),
-        jsonl: exporter.map(|s| s.replace(JsonlSink::new(0))),
+        sinks: sinks(),
     }
 }
 
@@ -215,7 +194,7 @@ pub fn run(opts: Opts) {
                 opts.threads,
                 |i, seed| one(seed, x, arm, opts.check_invariants, export_here && i == 0),
             );
-            if let Some(sink) = rs.iter_mut().find_map(|r| r.jsonl.take()) {
+            if let Some(sink) = rs.iter_mut().find_map(|r| r.sinks.jsonl.take()) {
                 match arm {
                     Arm::Baseline => exported_baseline = Some(sink),
                     Arm::Hardened => exported = Some(sink),
@@ -231,16 +210,14 @@ pub fn run(opts: Opts) {
             let mean = |f: &dyn Fn(&TrialOut) -> f64| rs.iter().map(f).sum::<f64>() / trials as f64;
             for r in &rs {
                 rollup.merge(&r.metrics);
-                if let Some(c) = r.checked {
-                    counts.windows += c.windows;
-                    counts.sets += c.sets;
-                    counts.job_starts += c.job_starts;
+                if let Some(c) = r.sinks.checked {
+                    counts += c;
                 }
                 let sink = match arm {
                     Arm::Baseline => &mut baseline_viol,
                     Arm::Hardened => &mut hardened_viol,
                 };
-                sink.extend(r.violations.iter().map(|v| format!("x={x:.2}: {v}")));
+                sink.extend(r.sinks.violations.iter().map(|v| format!("x={x:.2}: {v}")));
             }
             t.row(&[
                 format!("{x:.2}"),

@@ -12,19 +12,15 @@
 //! Each trial also runs with the typed-event [`Metrics`] registry on; the
 //! merged rollup prints under the tables, the first trial's full event
 //! stream is exported to `EVENTS_E3.jsonl`, and `--check-invariants`
-//! attaches an [`InvariantChecker`] to every trial (this campaign injects
-//! no faults, so it must come back clean).
+//! attaches a [`dvc_sim_core::InvariantChecker`] to every trial (this
+//! campaign injects no faults, so it must come back clean).
 
-use crate::{write_export, Opts, EXPORT_CAP};
+use crate::{attach_sinks, write_export, Opts, SinkReport};
 use dvc_bench::scen::{ring_load, ring_verdict, run_cycles, settle, TrialWorld};
 use dvc_bench::table::{secs, Table};
 use dvc_core::lsc::LscMethod;
 use dvc_sim_core::trial::run_trials;
-use dvc_sim_core::{
-    CheckCounts, InvariantChecker, JsonlSink, Metrics, MetricsSnapshot, SimDuration,
-};
-use std::cell::RefCell;
-use std::rc::Rc;
+use dvc_sim_core::{CheckCounts, Metrics, MetricsSnapshot, SimDuration};
 
 struct TrialOut {
     cycles: usize,
@@ -34,9 +30,7 @@ struct TrialOut {
     save_mean: f64,
     mem_mb: u32,
     metrics: MetricsSnapshot,
-    violations: Vec<String>,
-    checked: Option<CheckCounts>,
-    jsonl: Option<JsonlSink>,
+    sinks: SinkReport,
 }
 
 pub fn run(opts: Opts) {
@@ -59,18 +53,7 @@ pub fn run(opts: Opts) {
         };
         let (mut sim, vc_id) = tw.build();
         sim.metrics = Metrics::enabled();
-        let checker = opts.check_invariants.then(|| {
-            let c = Rc::new(RefCell::new(InvariantChecker::new(
-                sim.world.cfg.silence_budget(),
-            )));
-            sim.attach_sink(c.clone());
-            c
-        });
-        let exporter = (i == 0).then(|| {
-            let s = Rc::new(RefCell::new(JsonlSink::new(EXPORT_CAP)));
-            sim.attach_sink(s.clone());
-            s
-        });
+        let sinks = attach_sinks(&mut sim, opts.check_invariants, i == 0);
         let job = ring_load(&mut sim, vc_id, u64::MAX / 2);
         settle(&mut sim, SimDuration::from_secs(40));
         let outs = run_cycles(
@@ -104,12 +87,7 @@ pub fn run(opts: Opts) {
             save_mean,
             mem_mb,
             metrics: sim.metrics.snapshot(),
-            violations: checker
-                .as_ref()
-                .map(|c| c.borrow().violations().to_vec())
-                .unwrap_or_default(),
-            checked: checker.map(|c| c.borrow().counts()),
-            jsonl: exporter.map(|s| s.replace(JsonlSink::new(0))),
+            sinks: sinks(),
         }
     });
 
@@ -173,19 +151,17 @@ pub fn run(opts: Opts) {
         print!("{rollup}");
         println!("```");
     }
-    if let Some(sink) = results.iter().find_map(|r| r.jsonl.as_ref()) {
+    if let Some(sink) = results.iter().find_map(|r| r.sinks.jsonl.as_ref()) {
         write_export("e3", "EVENTS_E3.jsonl", sink, "trial 0");
     }
     if opts.check_invariants {
         let mut counts = CheckCounts::default();
         let mut violations: Vec<&String> = Vec::new();
         for r in &results {
-            if let Some(c) = r.checked {
-                counts.windows += c.windows;
-                counts.sets += c.sets;
-                counts.job_starts += c.job_starts;
+            if let Some(c) = r.sinks.checked {
+                counts += c;
             }
-            violations.extend(&r.violations);
+            violations.extend(&r.sinks.violations);
         }
         println!(
             "\ninvariants: {} violation(s) across {} save windows, {} stored sets, \

@@ -12,7 +12,7 @@
 //!   disks — minimal data, but the application must implement it.
 
 use crate::Opts;
-use dvc_bench::scen::{run_until, TrialWorld};
+use dvc_bench::scen::TrialWorld;
 use dvc_bench::table::{secs, Table};
 use dvc_core::lsc::{self, LscMethod};
 use dvc_core::vc;
@@ -40,51 +40,37 @@ fn dvc_cost(opts: Opts, ranks: usize, mem_mb: u32) -> DvcCost {
     let _job = dvc_bench::scen::ring_load(&mut sim, vc_id, u64::MAX / 2);
     dvc_bench::scen::settle(&mut sim, SimDuration::from_secs(30));
 
-    #[derive(Default)]
-    struct Got(Option<(f64, u64, f64)>); // (save_s, set_id, image_mb)
-    sim.world.ext.insert(Got::default());
-    lsc::checkpoint_vc(&mut sim, vc_id, LscMethod::ntp_default(), |sim, out| {
-        assert!(out.success, "E6 checkpoint failed: {}", out.detail);
-        let set_id = out.set_id.unwrap();
-        let bytes = vc::store(sim)
-            .sets
-            .iter()
-            .find(|s| s.id == set_id)
-            .unwrap()
-            .total_bytes();
-        sim.world.ext.get_or_default::<Got>().0 =
-            Some((out.save_duration.as_secs_f64(), set_id, bytes as f64 / 1e6));
-    });
-    run_until(&mut sim, SimTime::from_secs_f64(36000.0), |sim| {
-        sim.world.ext.get::<Got>().is_some_and(|g| g.0.is_some())
-    });
-    let (save_s, set_id, image_mb) = sim.world.ext.get::<Got>().unwrap().0.unwrap();
+    let horizon = SimTime::from_secs_f64(36000.0);
+    // The image size is read off the store when the outcome lands.
+    let (save_s, set_id, image_mb) = sim
+        .await_reply(horizon, |sim, reply| {
+            lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), |sim, out| {
+                assert!(out.success, "E6 checkpoint failed: {}", out.detail);
+                let set_id = out.set_id.unwrap();
+                let bytes = vc::store(sim)
+                    .sets
+                    .iter()
+                    .find(|s| s.id == set_id)
+                    .unwrap()
+                    .total_bytes();
+                let got = (out.save_duration.as_secs_f64(), set_id, bytes as f64 / 1e6);
+                reply(sim, got);
+            });
+        })
+        .unwrap();
 
     // Restore onto the spare nodes, timing the parallel read + resume.
-    #[derive(Default)]
-    struct RestoreT(Option<f64>);
-    sim.world.ext.insert(RestoreT::default());
     let targets: Vec<_> = ((ranks as u32 + 1)..=(2 * ranks as u32))
         .map(dvc_cluster::node::NodeId)
         .collect();
-    lsc::restore_vc(
-        &mut sim,
-        set_id,
-        targets,
-        SimDuration::from_secs(5),
-        |sim, out| {
-            assert!(out.success);
-            sim.world.ext.get_or_default::<RestoreT>().0 = Some(out.duration.as_secs_f64());
-        },
-    )
-    .expect("restore should start");
-    run_until(&mut sim, SimTime::from_secs_f64(36000.0), |sim| {
-        sim.world
-            .ext
-            .get::<RestoreT>()
-            .is_some_and(|g| g.0.is_some())
-    });
-    let restore_s = sim.world.ext.get::<RestoreT>().unwrap().0.unwrap();
+    let out = sim
+        .await_reply(horizon, |sim, reply| {
+            lsc::restore_vc(sim, set_id, targets, SimDuration::from_secs(5), reply)
+                .expect("restore should start");
+        })
+        .unwrap();
+    assert!(out.success);
+    let restore_s = out.duration.as_secs_f64();
     DvcCost {
         image_mb,
         save_s,
@@ -114,7 +100,7 @@ fn app_cost(opts: Opts, ranks: usize, n: usize) -> AppCost {
     cfg.app_ckpt_every = Some(every);
     let vms = vc::vc(&sim, vc_id).unwrap().vms.clone();
     let job = harness::launch_on_vms(&mut sim, &vms, move |r, s| hpl::program(cfg, r, s));
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(36000.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(36000.0), |sim| {
         harness::all_done(sim, &job)
     });
     assert!(ok, "E6 app-level HPL failed");

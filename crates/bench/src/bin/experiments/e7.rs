@@ -8,7 +8,7 @@
 //! the k = 0 baseline: the inflation is k × (save + suspension + resume).
 
 use crate::Opts;
-use dvc_bench::scen::{run_cycles, run_until, TrialWorld};
+use dvc_bench::scen::{run_cycles, TrialWorld};
 use dvc_bench::table::{secs, Table};
 use dvc_core::lsc::LscMethod;
 use dvc_core::vc;
@@ -42,7 +42,7 @@ fn reported_runtime(opts: Opts, k: u32) -> (f64, f64) {
             SimDuration::from_secs(10),
         );
     }
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(86000.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(86000.0), |sim| {
         harness::all_done(sim, &job)
     });
     assert!(ok, "E7 HPL failed (k={k})");

@@ -9,10 +9,9 @@
 //! `N·mem / agg_bw`.
 
 use crate::Opts;
-use dvc_bench::scen::{ring_load, run_until, settle, TrialWorld};
+use dvc_bench::scen::{ring_load, settle, TrialWorld};
 use dvc_bench::table::{secs, Table};
 use dvc_core::lsc::{self, LscMethod};
-use dvc_core::vc;
 use dvc_sim_core::{SimDuration, SimTime};
 
 struct Cost {
@@ -36,53 +35,29 @@ fn one(opts: Opts, mem_mb: u32, agg_mbps: f64) -> Cost {
     let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
     settle(&mut sim, SimDuration::from_secs(30));
 
-    #[derive(Default)]
-    struct Got {
-        save: Option<(f64, u64, f64)>,
-        restore: Option<f64>,
-    }
-    sim.world.ext.insert(Got::default());
-    lsc::checkpoint_vc(&mut sim, vc_id, LscMethod::ntp_default(), |sim, out| {
-        assert!(out.success, "E9 save failed: {}", out.detail);
-        sim.world.ext.get_or_default::<Got>().save = Some((
-            out.save_duration.as_secs_f64(),
-            out.set_id.unwrap(),
-            out.pause_skew.as_secs_f64(),
-        ));
-    });
-    run_until(&mut sim, SimTime::from_secs_f64(86000.0), |sim| {
-        sim.world.ext.get::<Got>().is_some_and(|g| g.save.is_some())
-    });
-    let (save_s, set_id, skew_s) = sim.world.ext.get::<Got>().unwrap().save.unwrap();
+    let horizon = SimTime::from_secs_f64(86000.0);
+    let save = sim
+        .await_reply(horizon, |sim, reply| {
+            lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), reply);
+        })
+        .unwrap();
+    assert!(save.success, "E9 save failed: {}", save.detail);
 
     let targets: Vec<_> = ((n as u32 + 1)..=(2 * n as u32))
         .map(dvc_cluster::node::NodeId)
         .collect();
-    lsc::restore_vc(
-        &mut sim,
-        set_id,
-        targets,
-        SimDuration::from_secs(5),
-        |sim, out| {
-            assert!(out.success, "E9 restore failed: {}", out.detail);
-            sim.world.ext.get_or_default::<Got>().restore = Some(out.duration.as_secs_f64());
-        },
-    )
-    .expect("restore should start");
-    run_until(&mut sim, SimTime::from_secs_f64(86000.0), |sim| {
-        sim.world
-            .ext
-            .get::<Got>()
-            .is_some_and(|g| g.restore.is_some())
-    });
-    let restore_s = sim.world.ext.get::<Got>().unwrap().restore.unwrap() - 5.0; // minus resume lead
-                                                                                // The VC was left suspended before the restore (its VMs destroyed &
-                                                                                // re-placed), so no settle needed; the measurement is complete.
-    let _ = vc::vc(&sim, vc_id);
+    let restore = sim
+        .await_reply(horizon, |sim, reply| {
+            let set_id = save.set_id.unwrap();
+            lsc::restore_vc(sim, set_id, targets, SimDuration::from_secs(5), reply)
+                .expect("restore should start");
+        })
+        .unwrap();
+    assert!(restore.success, "E9 restore failed: {}", restore.detail);
     Cost {
-        save_s,
-        restore_s,
-        skew_s,
+        save_s: save.save_duration.as_secs_f64(),
+        restore_s: restore.duration.as_secs_f64() - 5.0, // minus resume lead
+        skew_s: save.pause_skew.as_secs_f64(),
     }
 }
 

@@ -24,7 +24,10 @@ mod e7;
 mod e8;
 mod e9;
 
-use dvc_sim_core::JsonlSink;
+use dvc_cluster::world::ClusterWorld;
+use dvc_sim_core::{CheckCounts, InvariantChecker, JsonlSink, Sim};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Global experiment options.
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +69,45 @@ pub fn write_export(exp: &str, path: &str, sink: &JsonlSink, what: &str) {
             "warning: {path} is truncated: {} event(s) dropped at cap {EXPORT_CAP}",
             sink.dropped
         );
+    }
+}
+
+/// What a trial's checker and exporter sinks collected (see
+/// [`attach_sinks`]).
+pub struct SinkReport {
+    pub violations: Vec<String>,
+    /// `None` when no checker was attached.
+    pub checked: Option<CheckCounts>,
+    pub jsonl: Option<JsonlSink>,
+}
+
+/// Attach an [`InvariantChecker`] (against the world's silence budget) when
+/// `check`, and a [`JsonlSink`] capped at [`EXPORT_CAP`] when `export`.
+/// Call the returned closure once the trial has run to collect both.
+pub fn attach_sinks(
+    sim: &mut Sim<ClusterWorld>,
+    check: bool,
+    export: bool,
+) -> impl FnOnce() -> SinkReport {
+    let checker = check.then(|| {
+        let c = Rc::new(RefCell::new(InvariantChecker::new(
+            sim.world.cfg.silence_budget(),
+        )));
+        sim.attach_sink(c.clone());
+        c
+    });
+    let exporter = export.then(|| {
+        let s = Rc::new(RefCell::new(JsonlSink::new(EXPORT_CAP)));
+        sim.attach_sink(s.clone());
+        s
+    });
+    move || SinkReport {
+        violations: checker
+            .as_ref()
+            .map(|c| c.borrow().violations().to_vec())
+            .unwrap_or_default(),
+        checked: checker.map(|c| c.borrow().counts()),
+        jsonl: exporter.map(|s| s.replace(JsonlSink::new(0))),
     }
 }
 

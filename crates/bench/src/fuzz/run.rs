@@ -2,8 +2,10 @@
 //!
 //! The oracles, and what each would catch:
 //!
-//! 1. **invariants** ([`InvariantChecker`] via [`Oracle`]) — blown stored
-//!    windows, generation regressions, jobs on dead nodes. A blown stored
+//! 1. **invariants** ([`InvariantChecker`]) — blown stored windows, run
+//!    lifecycle breaches (a save fired after its window closed, a window
+//!    closed twice, an event after its run finished), generation
+//!    regressions, jobs on dead nodes. A blown stored
 //!    window is a *failure* only for coordinators whose design guarantees
 //!    the window under the scenario's fault plan: clock-free
 //!    `hardened-naive` always, clock-based `hardened` only absent
@@ -13,11 +15,7 @@
 //!    itself regression coverage.
 //! 2. **spans** ([`SpanChecker`]) — malformed causal trees, id reuse,
 //!    spans left open after the trial drains.
-//! 3. **margin-consistency** — [`PhaseAttribution`] and the invariant
-//!    checker derive pause exposure independently (spans+events vs events
-//!    alone); a stored round must be flagged by both or neither, and every
-//!    stored round must have a measurable spread.
-//! 4. **cross-check** — event/metrics bookkeeping that must tie out
+//! 3. **cross-check** — event/metrics bookkeeping that must tie out
 //!    exactly: every `vmm.save` span wraps exactly one snapshot
 //!    begin/end pair; a stored round fired every member exactly once
 //!    (`fires == VC size` — the "span count == generation members" check:
@@ -25,29 +23,28 @@
 //!    snapshot pairing covers); one `SetStored` per stored window; the
 //!    [`Metrics`] registry agrees with an independent count of the same
 //!    stream.
-//! 5. **liveness** — every checkpoint round resolves within a generous
+//! 4. **liveness** — every checkpoint round resolves within a generous
 //!    sim-time deadline; a coordinator that strands a cycle (or lets the
 //!    event queue drain mid-round) fails loudly instead of hanging the
 //!    campaign.
-//! 6. **determinism** ([`Tuning::replay_check`]) — the trial is re-run
+//! 5. **determinism** ([`Tuning::replay_check`]) — the trial is re-run
 //!    from the same spec and must reproduce the identical event/span
 //!    digest, outcome vector and end time.
 
 use super::spec::ScenarioSpec;
-use crate::scen::{ring_load, run_until, settle, TrialWorld};
+use crate::scen::{ring_load, settle, TrialWorld};
 use dvc_cluster::faults::install_fault_plan;
 use dvc_cluster::world::ClusterWorld;
-use dvc_core::lsc::{self, LscMethod, LscOutcome};
+use dvc_core::lsc::{self, LscMethod};
 use dvc_core::vc::{self, VcId};
 use dvc_mpi::harness;
 use dvc_sim_core::rng;
 use dvc_sim_core::{
-    fnv1a, kind_from_str, Event, EventSink, FaultPlan, InvariantChecker, LscEvent, Metrics, Oracle,
+    fnv1a, kind_from_str, Event, EventSink, FaultPlan, InvariantChecker, LscEvent, Metrics,
     PhaseAttribution, Sim, SimDuration, SimTime, SpanChecker, SpanEvent, VmmEvent, FNV_BASIS,
 };
 use dvc_workloads::{hpl, ptrans, stream};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Per-cycle sim-time deadline for the liveness oracle. The model's own
@@ -274,27 +271,18 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
     install_fault_plan(&mut sim, build_plan(spec, t0));
 
     // Drive the checkpoint cycles with a per-round liveness deadline.
-    #[derive(Default)]
-    struct Bucket(Vec<LscOutcome>);
-    sim.world.ext.insert(Bucket::default());
+    let mut outcomes = Vec::new();
     let mut failures: Vec<OracleFailure> = Vec::new();
     let gap = SimDuration::from_secs_f64(spec.gap_s);
     for k in 0..spec.cycles {
         let at = sim.now() + gap;
-        sim.schedule_at(at, move |sim| {
-            lsc::checkpoint_vc(sim, vc_id, method, |sim, out| {
-                sim.world.ext.get_or_default::<Bucket>().0.push(out);
+        let deadline = at + ROUND_DEADLINE;
+        let out = sim.await_reply(deadline, |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                lsc::checkpoint_vc(sim, vc_id, method, reply);
             });
         });
-        let want = (k + 1) as usize;
-        let deadline = at + ROUND_DEADLINE;
-        let ok = run_until(&mut sim, deadline, |sim| {
-            sim.world
-                .ext
-                .get::<Bucket>()
-                .is_some_and(|b| b.0.len() >= want)
-        });
-        if !ok {
+        let Some(out) = out else {
             failures.push(OracleFailure {
                 oracle: "liveness",
                 detail: format!(
@@ -308,16 +296,11 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
                 ),
             });
             break;
-        }
+        };
+        outcomes.push(out);
     }
     settle(&mut sim, DRAIN);
 
-    let outcomes = sim
-        .world
-        .ext
-        .remove::<Bucket>()
-        .map(|b| b.0)
-        .unwrap_or_default();
     let app_alive = harness::first_failure(&sim, &job).is_none();
     let faults_injected = sim.world.faults.injected_total();
     let end = sim.now();
@@ -328,10 +311,8 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
     drop(sim);
     let inv = Rc::try_unwrap(inv).expect("sim dropped").into_inner();
     let spans = Rc::try_unwrap(spans).expect("sim dropped").into_inner();
-    let mut attrib = Rc::try_unwrap(attrib).expect("sim dropped").into_inner();
+    let attrib = Rc::try_unwrap(attrib).expect("sim dropped").into_inner();
     let cross = Rc::try_unwrap(cross).expect("sim dropped").into_inner();
-    attrib.observe_end(end);
-    attrib.seal();
 
     let mut detections: Vec<String> = Vec::new();
 
@@ -352,7 +333,7 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
     };
 
     // Oracle 1: invariants (window violations split by coordinator family).
-    for v in inv.verdict().violations {
+    for v in inv.violations().iter().cloned() {
         if v.starts_with("lsc window") && !window_guaranteed {
             detections.push(v);
         } else {
@@ -364,42 +345,14 @@ fn run_once(spec: &ScenarioSpec, tuning: &Tuning) -> Result<TrialReport, String>
     }
 
     // Oracle 2: span well-formedness (unclosed spans included).
-    for v in spans.verdict().violations {
+    for v in spans.findings() {
         failures.push(OracleFailure {
             oracle: "spans",
             detail: v,
         });
     }
 
-    // Oracle 3: margin consistency — the checker and the attribution sink
-    // must agree on exactly which stored rounds blew the budget.
-    let flagged: BTreeSet<u64> = inv.window_violation_runs().iter().copied().collect();
-    let mut derived: BTreeSet<u64> = BTreeSet::new();
-    for r in attrib.rounds() {
-        if r.stored == Some(true) {
-            match r.spread() {
-                Some(s) => {
-                    if s > budget {
-                        derived.insert(r.run);
-                    }
-                }
-                None => failures.push(OracleFailure {
-                    oracle: "margin-consistency",
-                    detail: format!("stored round {} has no pause spread", r.run),
-                }),
-            }
-        }
-    }
-    if derived != flagged {
-        failures.push(OracleFailure {
-            oracle: "margin-consistency",
-            detail: format!(
-                "stored rounds over budget disagree: attribution {derived:?} vs checker {flagged:?}"
-            ),
-        });
-    }
-
-    // Oracle 4: stream bookkeeping ties out exactly.
+    // Oracle 3: stream bookkeeping ties out exactly.
     let mut cross_eq = |label: &str, a: u64, b: u64| {
         if a != b {
             failures.push(OracleFailure {
@@ -480,9 +433,8 @@ mod tests {
     }
 
     /// The sabotage hook: with a near-zero budget every stored round blows
-    /// the window, and both the invariant and margin derivations must
-    /// agree on it (so only the window failure fires, not a consistency
-    /// mismatch).
+    /// the window, and the blown windows are the only failures (the
+    /// budget judges no other oracle).
     #[test]
     fn sabotaged_budget_is_caught_coherently() {
         let spec = ScenarioSpec {
@@ -499,13 +451,10 @@ mod tests {
         let r = run_scenario(&spec, &tuning).unwrap();
         assert!(!r.is_clean(), "sabotaged budget must trip the oracles");
         assert!(
-            r.failures.iter().any(|f| f.oracle == "invariants"),
-            "expected a window violation: {:?}",
             r.failures
-        );
-        assert!(
-            !r.failures.iter().any(|f| f.oracle == "margin-consistency"),
-            "both derivations must agree under sabotage: {:?}",
+                .iter()
+                .all(|f| f.oracle == "invariants" && f.detail.starts_with("lsc window")),
+            "expected only window violations: {:?}",
             r.failures
         );
     }

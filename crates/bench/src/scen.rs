@@ -143,20 +143,6 @@ pub fn ring_load_sparse(sim: &mut Sim<ClusterWorld>, vc_id: VcId, laps: u64) -> 
     }
 }
 
-/// Drive the sim until `pred` or `horizon`.
-pub fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
-
 /// Execute `cycles` sequential checkpoint(+resume) cycles, `gap` apart,
 /// synchronously collecting the outcomes.
 pub fn run_cycles(
@@ -166,32 +152,20 @@ pub fn run_cycles(
     cycles: u32,
     gap: SimDuration,
 ) -> Vec<LscOutcome> {
-    #[derive(Default)]
-    struct Bucket(Vec<LscOutcome>);
-    sim.world.ext.insert(Bucket::default());
-    for k in 0..cycles {
+    let mut outs = Vec::new();
+    for _ in 0..cycles {
         let at = sim.now() + gap;
-        sim.schedule_at(at, move |sim| {
-            lsc::checkpoint_vc(sim, vc_id, method, |sim, out| {
-                sim.world.ext.get_or_default::<Bucket>().0.push(out);
+        let out = sim.await_reply(SimTime::from_secs_f64(1e7), |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                lsc::checkpoint_vc(sim, vc_id, method, reply);
             });
         });
-        let want = (k + 1) as usize;
-        let ok = run_until(sim, SimTime::from_secs_f64(1e7), |sim| {
-            sim.world
-                .ext
-                .get::<Bucket>()
-                .is_some_and(|b| b.0.len() >= want)
-        });
-        if !ok {
-            break; // sim drained (job crashed and nothing is scheduled)
+        match out {
+            Some(out) => outs.push(out),
+            None => break, // sim drained (job crashed and nothing is scheduled)
         }
     }
-    sim.world
-        .ext
-        .remove::<Bucket>()
-        .map(|b| b.0)
-        .unwrap_or_default()
+    outs
 }
 
 /// Post-trial application verdict for a ring job.
@@ -230,8 +204,7 @@ pub fn ring_verdict(sim: &Sim<ClusterWorld>, job: &MpiJob) -> AppVerdict {
 
 /// Let post-checkpoint transport fallout surface: run `settle` longer.
 pub fn settle(sim: &mut Sim<ClusterWorld>, settle: SimDuration) {
-    let until = sim.now() + settle;
-    let _ = run_until(sim, until, |_| false);
+    sim.run_until(sim.now() + settle, |_| false);
 }
 
 /// A full single-checkpoint trial on a ring load: returns (vm_ok && app

@@ -21,12 +21,12 @@
 //! stream, `Sim::stats()` and the outcomes, so a refactor of the
 //! coordinators that moves one RNG draw or one scheduled event shows here.
 
-use dvc_bench::scen::{ring_load, run_cycles, run_until, settle, TrialWorld};
+use dvc_bench::scen::{ring_load, run_cycles, settle, TrialWorld};
 use dvc_cluster::faults::install_fault_plan;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::world::ClusterWorld;
-use dvc_core::lsc::{restore_vc, LscMethod, RestoreOutcome};
-use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
+use dvc_core::lsc::{restore_vc, LscMethod};
+use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg};
 use dvc_sim_core::{fnv1a, Event, EventSink, FaultPlan, Sim, SimDuration, SimTime, FNV_BASIS};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -225,22 +225,13 @@ fn restore_row() -> Pinned {
     );
     let set_id = outs[0].set_id.expect("checkpoint stored a set");
     let targets: Vec<NodeId> = (7..=12).map(NodeId).collect();
-    restore_vc(
-        &mut sim,
-        set_id,
-        targets,
-        SimDuration::from_secs(5),
-        |sim, out| {
-            sim.world.ext.insert(out);
-        },
-    )
-    .expect("restore starts");
-    let done = run_until(&mut sim, SimTime::from_secs_f64(1e7), |sim| {
-        sim.world.ext.get::<RestoreOutcome>().is_some()
-    });
-    assert!(done, "restore must finish");
+    let out = sim
+        .await_reply(SimTime::from_secs_f64(1e7), |sim, reply| {
+            restore_vc(sim, set_id, targets, SimDuration::from_secs(5), reply)
+                .expect("restore starts");
+        })
+        .expect("restore must finish");
     settle(&mut sim, SimDuration::from_secs(20));
-    let out = sim.world.ext.get::<RestoreOutcome>().unwrap();
     let outcomes = format!(
         "{} {} {}",
         out.success,
@@ -264,21 +255,12 @@ fn migrate_row() -> Pinned {
     let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
     settle(&mut sim, SimDuration::from_secs(20));
     let targets: Vec<NodeId> = (5..=8).map(NodeId).collect();
-    live_migrate_vc(
-        &mut sim,
-        vc_id,
-        targets,
-        LiveMigrateCfg::default(),
-        |sim, out| {
-            sim.world.ext.insert(out);
-        },
-    );
-    let done = run_until(&mut sim, SimTime::from_secs_f64(1e7), |sim| {
-        sim.world.ext.get::<LiveMigrateOutcome>().is_some()
-    });
-    assert!(done, "migration must finish");
+    let out = sim
+        .await_reply(SimTime::from_secs_f64(1e7), |sim, reply| {
+            live_migrate_vc(sim, vc_id, targets, LiveMigrateCfg::default(), reply);
+        })
+        .expect("migration must finish");
     settle(&mut sim, SimDuration::from_secs(20));
-    let out = sim.world.ext.get::<LiveMigrateOutcome>().unwrap();
     let outcomes = format!("{} {}", out.success, out.downtime.nanos());
     pin(&sim, &rec, outcomes)
 }

@@ -25,9 +25,7 @@ use dvc_net::fabric;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::LocalNs;
 use dvc_net::NicId;
-use dvc_sim_core::{
-    Event, FaultEvent, Sim, SimDuration, SimTime, SpanId, StorageEvent, TcpEvent, VmmEvent,
-};
+use dvc_sim_core::{Event, FaultEvent, Sim, SimDuration, SimTime, SpanId, StorageEvent, VmmEvent};
 use dvc_vmm::guest::{GuestOs, GuestProc, ProcPoll, ProcState};
 use dvc_vmm::{Vm, VmId, VmImage, VmState};
 
@@ -416,27 +414,13 @@ pub fn drain_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
             let notes = v.guest.tcp.take_notes();
             let ep = vm.0;
             for n in notes {
-                sim.emit(Event::Tcp(tcp_note_event(n, ep)));
+                sim.emit(Event::Tcp(n.event(ep)));
             }
         }
     }
     rearm_guest_timer(sim, vm);
     if had_events {
         wake_blocked_procs(sim, vm);
-    }
-}
-
-/// Map a stack-level [`dvc_net::tcp::TcpNote`] onto the typed spine,
-/// attaching the endpoint (VM) that owns the stack.
-fn tcp_note_event(n: dvc_net::tcp::TcpNote, ep: u32) -> TcpEvent {
-    use dvc_net::tcp::TcpNote as N;
-    match n {
-        N::Retransmit => TcpEvent::Retransmit { ep },
-        N::FastRetransmit => TcpEvent::FastRetransmit { ep },
-        N::RtoFired => TcpEvent::RtoFired { ep },
-        N::ZeroWindowProbe => TcpEvent::ZeroWindowProbe { ep },
-        N::KeepaliveProbe => TcpEvent::KeepaliveProbe { ep },
-        N::ConnAborted => TcpEvent::ConnAborted { ep },
     }
 }
 

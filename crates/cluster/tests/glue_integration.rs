@@ -170,19 +170,6 @@ fn sender_receiver(total: usize) -> (Sim<ClusterWorld>, VmId, VmId) {
     (sim, vm_tx, vm_rx)
 }
 
-fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
-
 fn rx_done(sim: &Sim<ClusterWorld>, vm: VmId) -> bool {
     sim.world.vm(vm).is_some_and(|v| v.guest.all_done())
 }
@@ -190,7 +177,7 @@ fn rx_done(sim: &Sim<ClusterWorld>, vm: VmId) -> bool {
 #[test]
 fn guest_to_guest_transfer_completes() {
     let (mut sim, vm_tx, vm_rx) = sender_receiver(500_000);
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(120.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(120.0), |sim| {
         rx_done(sim, vm_rx) && rx_done(sim, vm_tx)
     });
     assert!(ok, "transfer never finished");
@@ -238,9 +225,7 @@ fn coordinated_save_restore_on_same_nodes_is_transparent() {
         watch(sim, vm_tx, vm_rx)
     });
 
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(300.0), |sim| {
-        rx_done(sim, vm_rx)
-    });
+    let ok = sim.run_until(SimTime::from_secs_f64(300.0), |sim| rx_done(sim, vm_rx));
     assert!(ok, "transfer did not survive the checkpoint");
     // Each VM paused exactly once (the save).
     assert_eq!(sim.world.vm(vm_tx).unwrap().pause_count, 1);
@@ -294,9 +279,7 @@ fn restore_migrates_to_different_nodes_transparently() {
         watch(sim, vm_tx, vm_rx)
     });
 
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(600.0), |sim| {
-        rx_done(sim, vm_rx)
-    });
+    let ok = sim.run_until(SimTime::from_secs_f64(600.0), |sim| rx_done(sim, vm_rx));
     assert!(ok, "transfer did not survive migration");
     // Placement really changed.
     assert_eq!(sim.world.vm_host[&vm_tx], NodeId(3));
@@ -312,7 +295,7 @@ fn one_sided_save_without_peer_kills_the_application() {
     sim.schedule_at(SimTime::from_secs_f64(0.05), move |sim| {
         save_vm(sim, vm_rx, |_sim, _img| {});
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(600.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(600.0), |sim| {
         sim.world
             .vm(vm_tx)
             .is_some_and(|v| v.guest.first_failure().is_some())
@@ -341,7 +324,7 @@ fn watchdog_fires_once_per_save_restore_cycle() {
             });
         });
     }
-    run_until(&mut sim, SimTime::from_secs_f64(40.0), |_| false);
+    sim.run_until(SimTime::from_secs_f64(40.0), |_| false);
     let v = sim.world.vm(vm_tx).unwrap();
     assert_eq!(
         v.guest.watchdog.timeouts, 3,

@@ -44,19 +44,6 @@ fn ring_spec(name: &str, vnodes: usize, laps: u64) -> DvcJobSpec {
     }
 }
 
-fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
-
 #[test]
 fn queued_jobs_run_serially_and_release_nodes() {
     // 5 nodes (head + 4 workers); two 4-vnode jobs must run one after the
@@ -70,7 +57,7 @@ fn queued_jobs_run_serially_and_release_nodes() {
         DvcJobState::Queued,
         "no room for b while a provisions"
     );
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         batch::job_status(sim, a).map(|s| s.state) == Some(DvcJobState::Completed)
             && batch::job_status(sim, b).map(|s| s.state) == Some(DvcJobState::Completed)
     });
@@ -100,7 +87,7 @@ fn managed_batch_job_survives_node_crash() {
         // The job runs on nodes 1..=4 (head is 0).
         dvc_cluster::failure::crash_node(sim, NodeId(2));
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         matches!(
             batch::job_status(sim, id).map(|s| s.state),
             Some(DvcJobState::Completed) | Some(DvcJobState::Failed) | Some(DvcJobState::Killed)
@@ -123,7 +110,7 @@ fn unmanaged_batch_job_fails_on_crash_and_frees_nodes() {
     sim.schedule_at(SimTime::from_secs_f64(60.0), |sim| {
         dvc_cluster::failure::crash_node(sim, NodeId(2));
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         matches!(
             batch::job_status(sim, id).map(|s| s.state),
             Some(DvcJobState::Completed) | Some(DvcJobState::Failed)
@@ -145,7 +132,7 @@ fn walltime_limit_kills_runaway_jobs() {
     let mut spec = ring_spec("runaway", 4, u64::MAX / 2); // never finishes
     spec.kill_after = SimDuration::from_secs(120);
     let id = batch::submit_dvc_job(&mut sim, spec);
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         batch::job_status(sim, id).map(|s| s.state) == Some(DvcJobState::Killed)
     });
     assert!(ok, "{:?}", batch::job_status(&mut sim, id));
@@ -180,7 +167,7 @@ fn program_results_are_extractable_after_completion() {
         kill_after: SimDuration::from_secs(600),
     };
     let id = batch::submit_dvc_job(&mut sim, spec);
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         batch::job_status(sim, id).map(|s| s.state) == Some(DvcJobState::Completed)
     });
     assert!(ok);

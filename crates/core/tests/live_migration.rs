@@ -5,25 +5,12 @@
 
 use dvc_cluster::node::NodeId;
 use dvc_cluster::ntp;
-use dvc_cluster::world::{ClusterBuilder, ClusterWorld};
-use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
+use dvc_cluster::world::ClusterBuilder;
+use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg};
 use dvc_core::vc::{self, VcSpec};
 use dvc_mpi::harness;
 use dvc_sim_core::{Sim, SimDuration, SimTime};
 use dvc_workloads::ring;
-
-fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
 
 #[test]
 fn live_migration_moves_vc_with_short_downtime() {
@@ -58,25 +45,18 @@ fn live_migration_moves_vc_with_short_downtime() {
 
     // Kick off the live migration mid-run, onto the spare nodes.
     let at = sim.now() + SimDuration::from_secs(40);
-    sim.schedule_at(at, move |sim| {
-        let targets: Vec<NodeId> = (5..=8).map(NodeId).collect();
-        live_migrate_vc(
-            sim,
-            vc_id,
-            targets,
-            LiveMigrateCfg::default(),
-            |sim, out| {
-                sim.world.ext.insert(out);
-            },
-        );
-    });
-
-    let done = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
-        harness::all_done(sim, &job)
-    });
+    let horizon = SimTime::from_secs_f64(3600.0);
+    let out = sim
+        .await_reply(horizon, |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                let targets: Vec<NodeId> = (5..=8).map(NodeId).collect();
+                live_migrate_vc(sim, vc_id, targets, LiveMigrateCfg::default(), reply);
+            });
+        })
+        .expect("outcome");
+    assert!(!harness::all_done(&sim, &job), "landed after the job");
+    let done = sim.run_until(horizon, |sim| harness::all_done(sim, &job));
     assert!(done, "job failed: {:?}", harness::first_failure(&sim, &job));
-
-    let out = sim.world.ext.get::<LiveMigrateOutcome>().expect("outcome");
     assert!(out.success, "{}", out.detail);
     // The whole point: downtime ≪ moving 4×256 MB while stopped (≈10 s over
     // shared storage each way). With a 4 MB residue per VM it is sub-second

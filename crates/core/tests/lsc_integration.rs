@@ -63,19 +63,6 @@ fn vc_with_ring(sim: &mut Sim<ClusterWorld>, n: usize, laps: u64) -> (VcId, MpiJ
     (id, job)
 }
 
-fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
-
 fn stash_outcome(sim: &mut Sim<ClusterWorld>, out: LscOutcome) {
     sim.world.ext.get_or_default::<Vec<LscOutcome>>().push(out);
 }
@@ -94,15 +81,16 @@ fn ntp_lsc_checkpoints_running_job_with_ms_skew() {
     let (vc_id, job) = vc_with_ring(&mut sim, 8, 1200);
     // Give NTP time to discipline the clocks, then checkpoint mid-run.
     let at = sim.now() + SimDuration::from_secs(60);
-    sim.schedule_at(at, move |sim| {
-        lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), stash_outcome);
-    });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
-        !sim.world
-            .ext
-            .get::<Vec<LscOutcome>>()
-            .is_none_or(|v| v.is_empty())
-            && (harness::all_done(sim, &job) || harness::first_failure(sim, &job).is_some())
+    let horizon = SimTime::from_secs_f64(3600.0);
+    let o = sim
+        .await_reply(horizon, |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), reply);
+            });
+        })
+        .expect("checkpoint never completed");
+    let ok = sim.run_until(horizon, |sim| {
+        harness::all_done(sim, &job) || harness::first_failure(sim, &job).is_some()
     });
     assert!(ok, "job never finished");
     assert!(
@@ -110,9 +98,6 @@ fn ntp_lsc_checkpoints_running_job_with_ms_skew() {
         "job failed: {:?}",
         harness::first_failure(&sim, &job)
     );
-    let outs = outcomes(&sim);
-    assert_eq!(outs.len(), 1, "checkpoint never completed");
-    let o = &outs[0];
     assert!(o.success, "checkpoint failed: {}", o.detail);
     assert!(
         o.pause_skew < SimDuration::from_millis(20),
@@ -140,7 +125,7 @@ fn naive_lsc_succeeds_at_4_nodes() {
     sim.schedule_at(at, move |sim| {
         lsc::checkpoint_vc(sim, vc_id, LscMethod::Naive, stash_outcome);
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         harness::all_done(sim, &job) || harness::first_failure(sim, &job).is_some()
     });
     assert!(ok);
@@ -167,7 +152,7 @@ fn naive_lsc_kills_the_job_at_12_nodes() {
     sim.schedule_at(at, move |sim| {
         lsc::checkpoint_vc(sim, vc_id, LscMethod::Naive, stash_outcome);
     });
-    let _ = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let _ = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         harness::first_failure(sim, &job).is_some() || harness::all_done(sim, &job)
     });
     // The transport gave up somewhere: the app observes a socket error.
@@ -189,34 +174,28 @@ fn checkpoint_set_restores_onto_different_nodes() {
     let mut sim = world(4, 1004);
     let (vc_id, job) = vc_with_ring(&mut sim, 4, 1500);
     let at = sim.now() + SimDuration::from_secs(60);
-    sim.schedule_at(at, move |sim| {
-        lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), move |sim, out| {
-            assert!(out.success, "checkpoint failed: {}", out.detail);
-            let set_id = out.set_id.unwrap();
-            // Simulate catastrophe: all four original hosts die.
-            sim.schedule_in(SimDuration::from_secs(30), move |sim| {
-                for n in 1..=4 {
-                    failure::crash_node(sim, NodeId(n));
-                }
-                // Migrate the whole VC to the spares (and the head node).
-                let targets: Vec<NodeId> = vec![NodeId(5), NodeId(6), NodeId(7), NodeId(0)];
-                lsc::restore_vc(
-                    sim,
-                    set_id,
-                    targets,
-                    SimDuration::from_secs(5),
-                    |sim, out| {
-                        assert!(out.success, "restore failed: {}", out.detail);
-                        sim.world.ext.insert(out);
-                    },
-                )
-                .expect("restore should start");
+    let horizon = SimTime::from_secs_f64(3600.0);
+    let restore = sim.await_reply(horizon, |sim, reply| {
+        sim.schedule_at(at, move |sim| {
+            lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), move |sim, out| {
+                assert!(out.success, "checkpoint failed: {}", out.detail);
+                let set_id = out.set_id.unwrap();
+                // Simulate catastrophe: all four original hosts die.
+                sim.schedule_in(SimDuration::from_secs(30), move |sim| {
+                    for n in 1..=4 {
+                        failure::crash_node(sim, NodeId(n));
+                    }
+                    // Migrate the whole VC to the spares (and the head node).
+                    let targets: Vec<NodeId> = vec![NodeId(5), NodeId(6), NodeId(7), NodeId(0)];
+                    lsc::restore_vc(sim, set_id, targets, SimDuration::from_secs(5), reply)
+                        .expect("restore should start");
+                });
             });
         });
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
-        harness::all_done(sim, &job)
-    });
+    let restore = restore.expect("restore never resolved");
+    assert!(restore.success, "restore failed: {}", restore.detail);
+    let ok = sim.run_until(horizon, |sim| harness::all_done(sim, &job));
     assert!(
         ok,
         "job should complete after migration; failure: {:?}",
@@ -228,7 +207,6 @@ fn checkpoint_set_restores_onto_different_nodes() {
     for r in 0..job.size {
         assert!(ring::ring_ok(&harness::rank(&sim, &job, r).data));
     }
-    let restore = sim.world.ext.get::<lsc::RestoreOutcome>().unwrap();
     assert!(restore.resume_skew < SimDuration::from_millis(20));
 }
 
@@ -248,7 +226,7 @@ fn hardened_lsc_survives_agent_faults_that_kill_plain_ntp() {
         sim.schedule_at(at, move |sim| {
             lsc::checkpoint_vc(sim, vc_id, method, stash_outcome);
         });
-        let _ = run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+        let _ = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
             (harness::first_failure(sim, &job).is_some() || harness::all_done(sim, &job))
                 && !outcomes(sim).is_empty()
         });
@@ -283,7 +261,7 @@ fn reliability_manager_recovers_job_from_node_crash() {
     sim.schedule_in(SimDuration::from_secs(100), |sim| {
         failure::crash_node(sim, NodeId(2));
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         harness::all_done(sim, &job)
     });
     let st = reliability::stats(&mut sim, vc_id);
@@ -312,7 +290,7 @@ fn adversarial_instant_checkpoints_keep_exactly_once_semantics() {
         sim.schedule_at(at, move |sim| {
             lsc::checkpoint_vc(sim, vc_id, LscMethod::ntp_default(), stash_outcome);
         });
-        let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+        let ok = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
             harness::all_done(sim, &job) || harness::first_failure(sim, &job).is_some()
         });
         assert!(ok && harness::first_failure(&sim, &job).is_none());
@@ -350,7 +328,7 @@ fn hardened_naive_survives_control_partition_via_abort_and_rearm() {
             stash_outcome,
         );
     });
-    let ok = run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         !outcomes(sim).is_empty()
             && (harness::all_done(sim, &job) || harness::first_failure(sim, &job).is_some())
     });

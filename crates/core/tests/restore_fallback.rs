@@ -27,19 +27,6 @@ fn world(seed: u64) -> Sim<ClusterWorld> {
     sim
 }
 
-fn run_until(
-    sim: &mut Sim<ClusterWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
-}
-
 /// Provision a 3-vnode VC on nodes 1..=3 and take `n_ckpts` checkpoints,
 /// returning the VC id and the stored set ids (oldest first).
 fn vc_with_sets(sim: &mut Sim<ClusterWorld>, n_ckpts: usize) -> (VcId, Vec<u64>) {
@@ -48,23 +35,18 @@ fn vc_with_sets(sim: &mut Sim<ClusterWorld>, n_ckpts: usize) -> (VcId, Vec<u64>)
     spec.os_image_bytes = 32 << 20;
     spec.boot_time = SimDuration::from_secs(5);
     let id = vc::provision_vc(sim, spec, hosts, |_sim, _id| {});
-    run_until(sim, SimTime::from_secs_f64(600.0), |sim| {
+    sim.run_until(SimTime::from_secs_f64(600.0), |sim| {
         vc::vc(sim, id).map(|v| v.state) == Some(vc::VcState::Up)
     });
     let mut set_ids = Vec::new();
     for _ in 0..n_ckpts {
-        #[derive(Default)]
-        struct Done(Option<u64>);
-        sim.world.ext.insert(Done::default());
-        lsc::checkpoint_vc(sim, id, LscMethod::ntp_default(), |sim, out| {
-            assert!(out.success, "checkpoint failed: {}", out.detail);
-            sim.world.ext.get_or_default::<Done>().0 = out.set_id;
-        });
-        let ok = run_until(sim, SimTime::from_secs_f64(7200.0), |sim| {
-            sim.world.ext.get::<Done>().is_some_and(|d| d.0.is_some())
-        });
-        assert!(ok, "checkpoint never resolved");
-        set_ids.push(sim.world.ext.get::<Done>().unwrap().0.unwrap());
+        let out = sim
+            .await_reply(SimTime::from_secs_f64(7200.0), |sim, reply| {
+                lsc::checkpoint_vc(sim, id, LscMethod::ntp_default(), reply);
+            })
+            .expect("checkpoint never resolved");
+        assert!(out.success, "checkpoint failed: {}", out.detail);
+        set_ids.push(out.set_id.unwrap());
     }
     (id, set_ids)
 }
@@ -83,26 +65,15 @@ fn corrupt_latest_generation_fails_restore_with_checksum_detail() {
     let (_vc, sets) = vc_with_sets(&mut sim, 2);
     corrupt_set(&mut sim, sets[1]);
 
-    #[derive(Default)]
-    struct Out(Option<(bool, String)>);
-    sim.world.ext.insert(Out::default());
     let targets: Vec<NodeId> = (4..=6).map(NodeId).collect();
-    lsc::restore_vc(
-        &mut sim,
-        sets[1],
-        targets,
-        SimDuration::from_secs(5),
-        |sim, o| {
-            sim.world.ext.get_or_default::<Out>().0 = Some((o.success, o.detail));
-        },
-    )
-    .expect("restore of an existing set starts");
-    run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
-        sim.world.ext.get::<Out>().is_some_and(|o| o.0.is_some())
-    });
-    let (success, detail) = sim.world.ext.get::<Out>().unwrap().0.clone().unwrap();
-    assert!(!success, "corrupt set must not restore");
-    assert!(detail.contains("checksum"), "detail: {detail}");
+    let out = sim
+        .await_reply(SimTime::from_secs_f64(7200.0), |sim, reply| {
+            lsc::restore_vc(sim, sets[1], targets, SimDuration::from_secs(5), reply)
+                .expect("restore of an existing set starts");
+        })
+        .unwrap();
+    assert!(!out.success, "corrupt set must not restore");
+    assert!(out.detail.contains("checksum"), "detail: {}", out.detail);
 }
 
 #[test]
@@ -111,25 +82,18 @@ fn restore_vc_intact_falls_back_past_corrupt_latest() {
     let (vc_id, sets) = vc_with_sets(&mut sim, 2);
     corrupt_set(&mut sim, sets[1]);
 
-    #[derive(Default)]
-    struct Out(Option<bool>);
-    sim.world.ext.insert(Out::default());
     let targets: Vec<NodeId> = (4..=6).map(NodeId).collect();
-    let chosen = lsc::restore_vc_intact(
-        &mut sim,
-        vc_id,
-        targets,
-        SimDuration::from_secs(5),
-        |sim, o| {
-            sim.world.ext.get_or_default::<Out>().0 = Some(o.success);
-        },
-    )
-    .expect("an intact generation exists");
-    assert_eq!(chosen, sets[0], "must pick the older, intact generation");
-    run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
-        sim.world.ext.get::<Out>().is_some_and(|o| o.0.is_some())
+    let mut chosen = None;
+    let out = sim.await_reply(SimTime::from_secs_f64(7200.0), |sim, reply| {
+        let set = lsc::restore_vc_intact(sim, vc_id, targets, SimDuration::from_secs(5), reply);
+        chosen = Some(set.expect("an intact generation exists"));
     });
-    assert_eq!(sim.world.ext.get::<Out>().unwrap().0, Some(true));
+    assert_eq!(
+        chosen,
+        Some(sets[0]),
+        "must pick the older, intact generation"
+    );
+    assert_eq!(out.map(|o| o.success), Some(true));
     // The VC is back up on the new hosts.
     let v = vc::vc(&sim, vc_id).unwrap();
     assert_eq!(v.state, vc::VcState::Up);
@@ -209,23 +173,12 @@ fn prune_never_drops_the_only_intact_generation() {
     );
     assert_eq!(st.latest_intact_for(vc_id).unwrap().id, sets[0]);
     // And a fallback restore still works after the aggressive prune.
-    #[derive(Default)]
-    struct Out(Option<bool>);
-    sim.world.ext.insert(Out::default());
     let targets: Vec<NodeId> = (4..=6).map(NodeId).collect();
-    let chosen = lsc::restore_vc_intact(
-        &mut sim,
-        vc_id,
-        targets,
-        SimDuration::from_secs(5),
-        |sim, o| {
-            sim.world.ext.get_or_default::<Out>().0 = Some(o.success);
-        },
-    )
-    .expect("intact generation survived the prune");
-    assert_eq!(chosen, sets[0]);
-    run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
-        sim.world.ext.get::<Out>().is_some_and(|o| o.0.is_some())
+    let mut chosen = None;
+    let out = sim.await_reply(SimTime::from_secs_f64(7200.0), |sim, reply| {
+        let set = lsc::restore_vc_intact(sim, vc_id, targets, SimDuration::from_secs(5), reply);
+        chosen = Some(set.expect("intact generation survived the prune"));
     });
-    assert_eq!(sim.world.ext.get::<Out>().unwrap().0, Some(true));
+    assert_eq!(chosen, Some(sets[0]));
+    assert_eq!(out.map(|o| o.success), Some(true));
 }

@@ -32,7 +32,7 @@ use crate::addr::Addr;
 use crate::bytequeue::ByteQueue;
 use crate::packet::{Packet, TcpFlags, TcpSegment, L4};
 use bytes::Bytes;
-use dvc_sim_core::FastMap;
+use dvc_sim_core::{FastMap, TcpEvent};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Node-local nanoseconds (see `dvc-time`); the stack never sees true time.
@@ -186,6 +186,21 @@ pub enum TcpNote {
     ZeroWindowProbe,
     KeepaliveProbe,
     ConnAborted,
+}
+
+impl TcpNote {
+    /// The note on the typed spine, attributed to endpoint `ep` (whatever
+    /// owns the stack: a host index, a VM id).
+    pub fn event(self, ep: u32) -> TcpEvent {
+        match self {
+            TcpNote::Retransmit => TcpEvent::Retransmit { ep },
+            TcpNote::FastRetransmit => TcpEvent::FastRetransmit { ep },
+            TcpNote::RtoFired => TcpEvent::RtoFired { ep },
+            TcpNote::ZeroWindowProbe => TcpEvent::ZeroWindowProbe { ep },
+            TcpNote::KeepaliveProbe => TcpEvent::KeepaliveProbe { ep },
+            TcpNote::ConnAborted => TcpEvent::ConnAborted { ep },
+        }
+    }
 }
 
 /// Bound on buffered [`TcpNote`]s between drains. Anomalies are rare (loss,

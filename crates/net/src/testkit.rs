@@ -15,9 +15,9 @@
 use crate::addr::{Addr, NicId, PhysAddr};
 use crate::fabric::{self, Fabric, LinkParams, NetWorld};
 use crate::packet::{Packet, L4};
-use crate::tcp::{LocalNs, SockEvent, SockId, StackOutput, TcpConfig, TcpNote, TcpStack};
+use crate::tcp::{LocalNs, SockEvent, SockId, StackOutput, TcpConfig, TcpStack};
 use crate::udp::UdpStack;
-use dvc_sim_core::{EventHandle, Sim, SimTime, TcpEvent};
+use dvc_sim_core::{EventHandle, Sim, SimTime};
 
 /// A one-shot packet filter: drops up to `remaining` packets matching `pred`.
 pub struct DropRule {
@@ -165,14 +165,7 @@ pub fn drain(sim: &mut Sim<TestWorld>, h: usize) {
         let notes = sim.world.hosts[h].tcp.take_notes();
         let ep = h as u32;
         for n in notes {
-            sim.emit(dvc_sim_core::Event::Tcp(match n {
-                TcpNote::Retransmit => TcpEvent::Retransmit { ep },
-                TcpNote::FastRetransmit => TcpEvent::FastRetransmit { ep },
-                TcpNote::RtoFired => TcpEvent::RtoFired { ep },
-                TcpNote::ZeroWindowProbe => TcpEvent::ZeroWindowProbe { ep },
-                TcpNote::KeepaliveProbe => TcpEvent::KeepaliveProbe { ep },
-                TcpNote::ConnAborted => TcpEvent::ConnAborted { ep },
-            }));
+            sim.emit(dvc_sim_core::Event::Tcp(n.event(ep)));
         }
     }
     rearm_timer(sim, h);
@@ -230,19 +223,4 @@ pub fn restore(sim: &mut Sim<TestWorld>, h: usize, snap: (TcpStack, UdpStack)) {
     sim.world.hosts[h].tcp = snap.0;
     sim.world.hosts[h].udp = snap.1;
     resume(sim, h);
-}
-
-/// Convenience: run the sim until `pred` is true, the queue drains, or
-/// `horizon` passes. Returns whether the predicate was satisfied.
-pub fn run_until(
-    sim: &mut Sim<TestWorld>,
-    horizon: SimTime,
-    mut pred: impl FnMut(&mut Sim<TestWorld>) -> bool,
-) -> bool {
-    while !pred(sim) {
-        if sim.now() > horizon || !sim.step() {
-            return pred(sim);
-        }
-    }
-    true
 }

@@ -8,9 +8,7 @@
 use dvc_net::fabric::LinkParams;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig, TcpError};
-use dvc_net::testkit::{
-    drain, local_now, pause, restore, run_until, snapshot, DropRule, TestWorld,
-};
+use dvc_net::testkit::{drain, local_now, pause, restore, snapshot, DropRule, TestWorld};
 use dvc_sim_core::{Sim, SimDuration, SimTime};
 use rand::{RngCore, SeedableRng};
 
@@ -37,7 +35,7 @@ fn establish_on(sim: &mut Sim<TestWorld>, port: u16) -> (SockId, SockId) {
     let b_addr = sim.world.hosts[B].addr;
     let sock_a = sim.world.hosts[A].tcp.connect(now, b_addr, port);
     drain(sim, A);
-    let ok = run_until(sim, secs(30.0), |sim| {
+    let ok = sim.run_until(secs(30.0), |sim| {
         sim.world.hosts[A]
             .events
             .iter()
@@ -152,14 +150,12 @@ fn handshake_send_recv_close() {
     let now = local_now(&sim);
     sim.world.hosts[A].tcp.close(now, sa);
     drain(&mut sim, A);
-    let ok = run_until(&mut sim, secs(30.0), |sim| {
-        sim.world.hosts[B].tcp.at_eof(sb)
-    });
+    let ok = sim.run_until(secs(30.0), |sim| sim.world.hosts[B].tcp.at_eof(sb));
     assert!(ok, "B never saw EOF");
     let now = local_now(&sim);
     sim.world.hosts[B].tcp.close(now, sb);
     drain(&mut sim, B);
-    let ok = run_until(&mut sim, secs(60.0), |sim| {
+    let ok = sim.run_until(secs(60.0), |sim| {
         sim.world.hosts[B]
             .events
             .iter()
@@ -282,7 +278,7 @@ fn connect_to_closed_port_fails_with_reset() {
     let b_addr = sim.world.hosts[B].addr;
     let sock = sim.world.hosts[A].tcp.connect(now, b_addr, 9999);
     drain(&mut sim, A);
-    let ok = run_until(&mut sim, secs(5.0), |sim| any_failure(sim, A));
+    let ok = sim.run_until(secs(5.0), |sim| any_failure(sim, A));
     assert!(ok);
     assert!(failed_with(&sim, A, TcpError::Reset));
     // The dead socket lingers with its error until the app releases it.
@@ -383,7 +379,7 @@ fn frozen_peer_exhausts_retries_and_resets() {
         .send(now, sa, &rand_payload(50_000, 8));
     drain(&mut sim, A);
 
-    let ok = run_until(&mut sim, secs(600.0), |sim| any_failure(sim, A));
+    let ok = sim.run_until(secs(600.0), |sim| any_failure(sim, A));
     assert!(ok, "sender never aborted");
     assert!(failed_with(&sim, A, TcpError::RetryTimeout));
 
@@ -490,7 +486,7 @@ fn scenario1_message_lost_at_snapshot_is_retransmitted() {
         restore(sim, A, snap_a)
     });
 
-    let ok = run_until(&mut sim, secs(60.0), |sim| {
+    let ok = sim.run_until(secs(60.0), |sim| {
         sim.world.hosts[B].tcp.readable_bytes(sb) >= msg.len()
     });
     assert!(ok, "message never delivered after restore");
@@ -529,7 +525,7 @@ fn scenario2_lost_ack_causes_no_duplication() {
         pred: is_pure_ack_to_a,
         dropped: 0,
     });
-    let ok = run_until(&mut sim, secs(5.0), |sim| {
+    let ok = sim.run_until(secs(5.0), |sim| {
         sim.world.hosts[B].tcp.readable_bytes(sb) >= msg.len()
             && sim.world.drop_rules[0].dropped == 1
     });
@@ -548,7 +544,7 @@ fn scenario2_lost_ack_causes_no_duplication() {
 
     // After restore: A retransmits (unacked), B re-ACKs; A must end with
     // snd_una advanced (no Failed), and B must not duplicate bytes.
-    let ok = run_until(&mut sim, secs(60.0), |sim| {
+    let ok = sim.run_until(secs(60.0), |sim| {
         !any_failure(sim, A) && sim.world.hosts[A].tcp.counters.retransmits >= 1 && {
             // settle: no pending retransmission deadline on A
             sim.world.hosts[A].tcp.next_deadline().is_none()
@@ -588,7 +584,7 @@ fn skewed_pause_beyond_budget_fails() {
     let at = sim.now() + SimDuration::from_secs(20);
     sim.schedule_at(at, move |sim| restore(sim, B, snap_b));
 
-    let ok = run_until(&mut sim, secs(120.0), |sim| any_failure(sim, A));
+    let ok = sim.run_until(secs(120.0), |sim| any_failure(sim, A));
     assert!(ok, "A should have aborted");
     assert!(failed_with(&sim, A, TcpError::RetryTimeout));
 }
@@ -627,7 +623,7 @@ fn keepalive_detects_dead_peer_and_spares_live_idle_ones() {
         let got = transfer(&mut sim, A, sa, B, 2, msg, secs(10.0));
         assert_eq!(&got, msg);
         // 60 s of pure idleness.
-        run_until(&mut sim, secs(70.0), |sim| sim.now() > secs(65.0));
+        sim.run_until(secs(70.0), |sim| sim.now() > secs(65.0));
         assert!(!any_failure(&sim, A) && !any_failure(&sim, B));
         assert!(
             sim.world.hosts[A].tcp.counters.keepalive_probes >= 10,
@@ -645,7 +641,7 @@ fn keepalive_detects_dead_peer_and_spares_live_idle_ones() {
         assert_eq!(&got, msg);
         let t0 = sim.now();
         pause(&mut sim, B); // dies idle: no data in flight, no rtx timer
-        let ok = run_until(&mut sim, secs(120.0), |sim| any_failure(sim, A));
+        let ok = sim.run_until(secs(120.0), |sim| any_failure(sim, A));
         assert!(ok, "keepalive never reaped the dead-peer connection");
         assert!(failed_with(&sim, A, TcpError::RetryTimeout));
         let elapsed = (sim.now() - t0).as_secs_f64();
@@ -668,7 +664,7 @@ fn simultaneous_close_reaches_closed_on_both_sides() {
     sim.world.hosts[B].tcp.close(now, sb);
     drain(&mut sim, A);
     drain(&mut sim, B);
-    let ok = run_until(&mut sim, secs(60.0), |sim| {
+    let ok = sim.run_until(secs(60.0), |sim| {
         sim.world.hosts[A]
             .events
             .iter()
@@ -691,7 +687,7 @@ fn abort_sends_rst_and_peer_observes_reset() {
     let now = local_now(&sim);
     sim.world.hosts[A].tcp.abort(now, sa);
     drain(&mut sim, A);
-    let ok = run_until(&mut sim, secs(5.0), |sim| any_failure(sim, B));
+    let ok = sim.run_until(secs(5.0), |sim| any_failure(sim, B));
     assert!(ok, "peer never saw the RST");
     assert!(failed_with(&sim, B, TcpError::Reset));
     // The aborting side's socket is gone immediately. (It may send more
@@ -714,7 +710,7 @@ fn close_with_unsent_data_flushes_before_fin() {
     sim.world.hosts[A].tcp.close(now, sa);
     drain(&mut sim, A);
     let mut received = Vec::new();
-    let ok = run_until(&mut sim, secs(30.0), |sim| {
+    let ok = sim.run_until(secs(30.0), |sim| {
         let avail = sim.world.hosts[B].tcp.readable_bytes(sb);
         if avail > 0 {
             let now = local_now(sim);

@@ -15,7 +15,7 @@ use bytes::Bytes;
 use dvc_net::fabric::LinkParams;
 use dvc_net::packet::{Packet, L4};
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig};
-use dvc_net::testkit::{drain, local_now, run_until, DropRule, TestWorld};
+use dvc_net::testkit::{drain, local_now, DropRule, TestWorld};
 use dvc_sim_core::{fnv1a, Sim, SimStats, SimTime, FNV_BASIS};
 
 const A: usize = 0;
@@ -37,7 +37,7 @@ fn establish(sim: &mut Sim<TestWorld>) -> (SockId, SockId) {
     let b_addr = sim.world.hosts[B].addr;
     let sock_a = sim.world.hosts[A].tcp.connect(now, b_addr, 7000);
     drain(sim, A);
-    let ok = run_until(sim, secs(30.0), |sim| {
+    let ok = sim.run_until(secs(30.0), |sim| {
         sim.world.hosts[A]
             .events
             .iter()
@@ -266,7 +266,7 @@ fn golden_fin_teardown() {
     let now = local_now(&sim);
     sim.world.hosts[A].tcp.close(now, sa);
     drain(&mut sim, A);
-    run_until(&mut sim, secs(10.0), |sim| {
+    sim.run_until(secs(10.0), |sim| {
         sim.world.hosts[B]
             .events
             .iter()
@@ -275,7 +275,7 @@ fn golden_fin_teardown() {
     let now = local_now(&sim);
     sim.world.hosts[B].tcp.close(now, sb);
     drain(&mut sim, B);
-    run_until(&mut sim, secs(30.0), |sim| {
+    sim.run_until(secs(30.0), |sim| {
         sim.world.hosts[B]
             .events
             .iter()

@@ -7,7 +7,7 @@
 
 use dvc_net::fabric::LinkParams;
 use dvc_net::tcp::{SockEvent, SockId, TcpConfig};
-use dvc_net::testkit::{drain, local_now, run_until, TestWorld};
+use dvc_net::testkit::{drain, local_now, TestWorld};
 use dvc_sim_core::{Sim, SimTime};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -21,7 +21,7 @@ fn establish(sim: &mut Sim<TestWorld>) -> (SockId, SockId) {
     let b_addr = sim.world.hosts[B].addr;
     let sock_a = sim.world.hosts[A].tcp.connect(now, b_addr, 7000);
     drain(sim, A);
-    let ok = run_until(sim, SimTime::from_secs_f64(60.0), |sim| {
+    let ok = sim.run_until(SimTime::from_secs_f64(60.0), |sim| {
         sim.world.hosts[B]
             .events
             .iter()

@@ -2,7 +2,7 @@
 //! implementations that consume the typed event spine.
 //!
 //! [`InvariantChecker`] watches the stream online and records violations of
-//! the three cross-layer invariants the DVC correctness argument rests on:
+//! the four invariants the DVC correctness argument rests on:
 //!
 //! 1. **LSC window** — within one coordinated save, every member's pause
 //!    instant must fall inside the transport silence budget of the first
@@ -11,9 +11,15 @@
 //!    rather than trusting the coordinator's own skew arithmetic, and flags
 //!    only windows the coordinator *closed as stored* — a blown window on a
 //!    failed attempt is the system working as designed.
-//! 2. **Checkpoint-generation monotonicity** — per VC, stored set ids and
+//! 2. **Run lifecycle** — a coordinated save is a barrier every member
+//!    passes once: all of a run's [`LscEvent::SaveFired`] come before its
+//!    single [`LscEvent::WindowClosed`], and no event of the run follows
+//!    its [`LscEvent::RunFinished`]. Every judgement of a run's pause
+//!    spread — this checker's at window close, [`crate::PhaseAttribution`]'s
+//!    at stream end — then sees the same fires.
+//! 3. **Checkpoint-generation monotonicity** — per VC, stored set ids and
 //!    store instants strictly advance ([`LscEvent::SetStored`]).
-//! 3. **No job on a dead node** — the resource manager never starts a job
+//! 4. **No job on a dead node** — the resource manager never starts a job
 //!    on a node currently down ([`RmEvent`] lifecycle vs. node liveness).
 //!
 //! Attach with `sim.attach_sink(checker.clone())`, run, then read
@@ -24,12 +30,14 @@ use crate::event::{Event, LscEvent, RmEvent};
 use crate::sim::EventSink;
 use crate::time::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::AddAssign;
 
 #[derive(Clone, Copy, Debug, Default)]
 struct RunWindow {
     first_fire: Option<SimTime>,
     last_fire: Option<SimTime>,
     fires: u32,
+    closed: bool,
 }
 
 /// Counts of how often each invariant was actually exercised — so "no
@@ -45,15 +53,25 @@ pub struct CheckCounts {
     pub job_starts: u64,
 }
 
-/// Online checker for the three DVC invariants. See the module docs.
+impl AddAssign for CheckCounts {
+    fn add_assign(&mut self, o: CheckCounts) {
+        self.windows += o.windows;
+        self.sets += o.sets;
+        self.job_starts += o.job_starts;
+    }
+}
+
+/// Online checker for the four DVC invariants. See the module docs.
 #[derive(Debug)]
 pub struct InvariantChecker {
     budget: SimDuration,
+    /// Runs seen and not yet finished.
     windows: BTreeMap<u64, RunWindow>,
+    /// Finished runs. A trial finishes a handful, so a scan is cheap.
+    finished: Vec<u64>,
     last_set: BTreeMap<u32, (u64, SimTime)>,
     down: BTreeSet<u32>,
     violations: Vec<String>,
-    window_violation_runs: Vec<u64>,
     counts: CheckCounts,
 }
 
@@ -64,26 +82,16 @@ impl InvariantChecker {
         InvariantChecker {
             budget,
             windows: BTreeMap::new(),
+            finished: Vec::new(),
             last_set: BTreeMap::new(),
             down: BTreeSet::new(),
             violations: Vec::new(),
-            window_violation_runs: Vec::new(),
             counts: CheckCounts::default(),
         }
     }
 
     pub fn violations(&self) -> &[String] {
         &self.violations
-    }
-
-    /// Run ids of the stored windows that blew the budget, in detection
-    /// order. Structured counterpart to the `lsc window` strings in
-    /// [`violations`](Self::violations) — cross-checkers (the fuzz oracle
-    /// stack compares this against the margins
-    /// [`crate::PhaseAttribution`] derives independently) should consume
-    /// this rather than parse messages.
-    pub fn window_violation_runs(&self) -> &[u64] {
-        &self.window_violation_runs
     }
 
     pub fn counts(&self) -> CheckCounts {
@@ -93,27 +101,39 @@ impl InvariantChecker {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
+}
 
-    /// One-line report: `ok (…)` or `N violation(s) (…)`.
-    pub fn report(&self) -> String {
-        let c = self.counts;
-        let exercised = format!(
-            "{} save windows, {} stored sets, {} job starts checked",
-            c.windows, c.sets, c.job_starts
-        );
-        if self.violations.is_empty() {
-            format!("ok ({exercised})")
-        } else {
-            format!("{} violation(s) ({exercised})", self.violations.len())
-        }
+/// The checkpoint run an event belongs to, if any.
+fn run_of(ev: &LscEvent) -> Option<u64> {
+    match ev {
+        LscEvent::ArmSent { run, .. }
+        | LscEvent::SaveFired { run, .. }
+        | LscEvent::SaveAcked { run, .. }
+        | LscEvent::WindowClosed { run, .. }
+        | LscEvent::AbortReArm { run, .. }
+        | LscEvent::RunFinished { run, .. } => Some(*run),
+        _ => None,
     }
 }
 
 impl EventSink for InvariantChecker {
     fn on_event(&mut self, time: SimTime, event: &Event) {
+        if let Event::Lsc(ev) = event {
+            if let Some(run) = run_of(ev).filter(|r| self.finished.contains(r)) {
+                self.violations.push(format!(
+                    "run lifecycle: run {run} emitted {} after it finished",
+                    event.key()
+                ));
+            }
+        }
         match event {
             Event::Lsc(LscEvent::SaveFired { run, .. }) => {
                 let w = self.windows.entry(*run).or_default();
+                if w.closed {
+                    self.violations.push(format!(
+                        "run lifecycle: run {run} fired a save after its window closed"
+                    ));
+                }
                 if w.first_fire.is_none() {
                     w.first_fire = Some(time);
                 }
@@ -123,27 +143,27 @@ impl EventSink for InvariantChecker {
             Event::Lsc(LscEvent::WindowClosed {
                 run, vc, stored, ..
             }) => {
-                if let Some(w) = self.windows.remove(run) {
-                    if *stored {
-                        self.counts.windows += 1;
-                        if let (Some(a), Some(b)) = (w.first_fire, w.last_fire) {
-                            let spread = b - a;
-                            if spread > self.budget {
-                                self.window_violation_runs.push(*run);
-                                self.violations.push(format!(
-                                    "lsc window: run {run} on vc {vc} stored a set with \
-                                     pause spread {spread} > budget {} ({} fires)",
-                                    self.budget, w.fires
-                                ));
-                            }
-                        }
+                let w = self.windows.entry(*run).or_default();
+                if w.closed {
+                    self.violations
+                        .push(format!("run lifecycle: run {run} closed its window twice"));
+                }
+                w.closed = true;
+                if let (true, Some(a), Some(b)) = (*stored, w.first_fire, w.last_fire) {
+                    self.counts.windows += 1;
+                    let spread = b - a;
+                    if spread > self.budget {
+                        self.violations.push(format!(
+                            "lsc window: run {run} on vc {vc} stored a set with \
+                             pause spread {spread} > budget {} ({} fires)",
+                            self.budget, w.fires
+                        ));
                     }
                 }
             }
             Event::Lsc(LscEvent::RunFinished { run, .. }) => {
-                // A run that never closed its window (failed mid-save)
-                // leaves no stale state behind.
                 self.windows.remove(run);
+                self.finished.push(*run);
             }
             Event::Lsc(LscEvent::SetStored { vc, set, .. }) => {
                 self.counts.sets += 1;
@@ -153,10 +173,10 @@ impl EventSink for InvariantChecker {
                             "generation monotonicity: vc {vc} stored set {set} after set {last_id}"
                         ));
                     }
-                    if time < *last_t {
+                    if time <= *last_t {
                         self.violations.push(format!(
-                            "generation monotonicity: vc {vc} set {set} stored at {time} \
-                             before previous at {last_t}"
+                            "generation monotonicity: vc {vc} set {set} stored at {time}, \
+                             not after previous at {last_t}"
                         ));
                     }
                 }
@@ -272,7 +292,6 @@ mod tests {
         );
         assert_eq!(c.violations().len(), 1);
         assert!(c.violations()[0].contains("lsc window"));
-        assert_eq!(c.window_violation_runs(), &[1]);
     }
 
     #[test]
@@ -307,6 +326,63 @@ mod tests {
         assert_eq!(c.violations().len(), 1);
         assert!(c.violations()[0].contains("monotonicity"));
         assert_eq!(c.counts().sets, 3);
+        // Store instants must strictly advance too: a fresh id at the
+        // previous set's instant is a violation.
+        feed(&mut c, &[stored(30, 3)]);
+        assert_eq!(c.violations().len(), 2);
+        assert!(c.violations()[1].contains("stored at"));
+    }
+
+    fn finish(t: u64, run: u64) -> (SimTime, Event) {
+        (
+            SimTime(t),
+            Event::Lsc(LscEvent::RunFinished {
+                run,
+                vc: 0,
+                success: true,
+            }),
+        )
+    }
+
+    fn lifecycle(evs: &[(SimTime, Event)]) -> Vec<String> {
+        let mut c = InvariantChecker::new(SimDuration::from_secs(3));
+        feed(&mut c, evs);
+        c.violations().to_vec()
+    }
+
+    #[test]
+    fn ordered_lifecycle_is_clean() {
+        let v = lifecycle(&[fire(0, 1), fire(1, 1), close(2, 1, true), finish(3, 1)]);
+        assert!(v.is_empty(), "{v:?}");
+        // Run ids are per coordinator, not per checker: a fresh run is fine.
+        let v = lifecycle(&[fire(0, 1), close(1, 1, true), finish(2, 1), fire(3, 2)]);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn fire_after_window_close_is_a_lifecycle_violation() {
+        let v = lifecycle(&[fire(0, 1), close(1, 1, true), fire(2, 1)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("run lifecycle:") && v[0].contains("after its window closed"));
+    }
+
+    #[test]
+    fn second_window_close_is_a_lifecycle_violation() {
+        let v = lifecycle(&[fire(0, 1), close(1, 1, true), close(2, 1, true)]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("run lifecycle:") && v[0].contains("twice"));
+    }
+
+    #[test]
+    fn event_after_run_finished_is_a_lifecycle_violation() {
+        let v = lifecycle(&[
+            fire(0, 1),
+            close(1, 1, true),
+            finish(2, 1),
+            close(3, 1, true),
+        ]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].starts_with("run lifecycle:") && v[0].contains("after it finished"));
     }
 
     #[test]

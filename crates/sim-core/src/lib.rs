@@ -8,7 +8,9 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time.
 //! * [`Sim`] — the engine. It owns the simulated clock, a stable-ordered
 //!   event queue of boxed `FnOnce(&mut Sim<W>)` handlers, the user-supplied
-//!   world `W`, and a set of named deterministic RNG streams.
+//!   world `W`, and a set of named deterministic RNG streams. Trials step
+//!   it with [`Sim::run_until`] and wait on callbacks with
+//!   [`Sim::await_reply`].
 //! * [`rng::RngStreams`] — independent random streams derived from one master
 //!   seed by hashing stream labels, so adding a consumer never perturbs the
 //!   draws seen by existing consumers.
@@ -35,7 +37,6 @@ pub mod event;
 pub mod faults;
 pub mod hash;
 pub mod metrics;
-pub mod oracle;
 pub mod perfetto;
 pub mod queue;
 pub mod rng;
@@ -54,7 +55,6 @@ pub use event::{
 pub use faults::{kind_from_str, FaultPlan, FaultWindow, FAULT_KINDS};
 pub use hash::{fnv1a, FastMap, FastSet, FNV_BASIS};
 pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
-pub use oracle::{Oracle, OracleReport};
 pub use perfetto::PerfettoTrace;
 pub use rng::RngStreams;
 pub use sim::{EventHandle, EventSink, Sim, SimStats};

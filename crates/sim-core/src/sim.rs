@@ -5,6 +5,10 @@
 //! value, so event handlers — boxed `FnOnce(&mut Sim<W>)` — can mutate the
 //! world *and* schedule further events without fighting the borrow checker.
 //!
+//! Trials are driven by [`Sim::run_until`] (step until a predicate holds, a
+//! horizon passes or the queue drains) and [`Sim::await_reply`] (start an
+//! operation that answers through a callback and step until it does).
+//!
 //! Cancellation uses tombstones inside the [`EventQueue`]: [`Sim::cancel`]
 //! marks a handle dead; when the dead entry surfaces it still advances the
 //! clock to its timestamp (so the engine's step timeline is identical to the
@@ -77,8 +81,6 @@ pub enum StopReason {
     Horizon,
     /// The event budget was exhausted (livelock guard).
     EventBudget,
-    /// A handler called [`Sim::request_stop`].
-    Requested,
 }
 
 /// The discrete-event simulation engine.
@@ -86,7 +88,6 @@ pub struct Sim<W> {
     now: SimTime,
     queue: EventQueue<BoxedEvent<W>>,
     executed: u64,
-    stop_requested: bool,
     /// Named deterministic RNG streams (see [`RngStreams`]).
     pub rng: RngStreams,
     /// Metrics registry fed by [`Sim::emit`] (disabled by default).
@@ -103,7 +104,6 @@ impl<W> Sim<W> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             executed: 0,
-            stop_requested: false,
             rng: RngStreams::new(seed),
             metrics: Metrics::disabled(),
             world,
@@ -228,11 +228,6 @@ impl<W> Sim<W> {
         self.queue.cancel(h.0);
     }
 
-    /// Ask the run loop to stop after the current handler returns.
-    pub fn request_stop(&mut self) {
-        self.stop_requested = true;
-    }
-
     /// Execute the next event, if any. Returns `false` when the queue is
     /// empty. A cancelled entry at the head still advances the clock to its
     /// timestamp (it remains a queue instant — see the queue docs) but
@@ -250,16 +245,12 @@ impl<W> Sim<W> {
         true
     }
 
-    /// Run until the queue empties, `horizon` is reached, `max_events` are
-    /// executed, or a handler requests a stop. Events scheduled exactly at
-    /// the horizon do not run; the clock is left at the horizon.
+    /// Run until the queue empties, `horizon` is reached or `max_events`
+    /// are executed. Events scheduled exactly at the horizon do not run;
+    /// the clock is left at the horizon.
     pub fn run(&mut self, horizon: SimTime, max_events: u64) -> StopReason {
         let budget_end = self.executed.saturating_add(max_events);
-        self.stop_requested = false;
         loop {
-            if self.stop_requested {
-                return StopReason::Requested;
-            }
             if self.executed >= budget_end {
                 return StopReason::EventBudget;
             }
@@ -279,6 +270,37 @@ impl<W> Sim<W> {
     /// Run with no time horizon (still bounded by `max_events`).
     pub fn run_to_completion(&mut self, max_events: u64) -> StopReason {
         self.run(SimTime::NEVER, max_events)
+    }
+
+    /// The trial driver: step until `pred` holds, the queue drains or the
+    /// clock has passed `horizon`. `pred` is checked before every step, so
+    /// a predicate already true takes no step; the step that carries the
+    /// clock past `horizon` still runs (unlike [`Sim::run`], which stops
+    /// short of it). Returns whether `pred` holds at the stop.
+    pub fn run_until(&mut self, horizon: SimTime, mut pred: impl FnMut(&mut Self) -> bool) -> bool {
+        while !pred(self) {
+            if self.now > horizon || !self.step() {
+                return pred(self);
+            }
+        }
+        true
+    }
+
+    /// Wait for one callback: `start` receives the reply callback and
+    /// kicks off the operation that will answer through it, then the sim
+    /// steps by [`Sim::run_until`] until the reply lands. `None` when the
+    /// horizon passes or the queue drains first. A reply made inside
+    /// `start` itself is delivered without a step.
+    pub fn await_reply<T: 'static>(
+        &mut self,
+        horizon: SimTime,
+        start: impl FnOnce(&mut Self, Box<dyn FnOnce(&mut Self, T)>),
+    ) -> Option<T> {
+        let slot = Rc::new(RefCell::new(None));
+        let tx = slot.clone();
+        start(self, Box::new(move |_, v| *tx.borrow_mut() = Some(v)));
+        self.run_until(horizon, |_| slot.borrow().is_some());
+        slot.take()
     }
 }
 
@@ -376,12 +398,52 @@ mod tests {
     }
 
     #[test]
-    fn request_stop_halts_loop() {
+    fn run_until_checks_before_each_step_and_runs_the_crossing_step() {
         let mut sim = Sim::new(World::default(), 1);
-        sim.schedule_at(SimTime(10), |s| s.request_stop());
-        sim.schedule_at(SimTime(20), |s| logit(s, "never"));
-        assert_eq!(sim.run_to_completion(1000), StopReason::Requested);
+        for t in [100, 200, 300] {
+            sim.schedule_at(SimTime(t), |s| logit(s, "x"));
+        }
+        // True at entry: no step.
+        assert!(sim.run_until(SimTime(1000), |_| true));
+        assert_eq!(sim.stats().executed, 0);
+        // The step from 100 to 200 crosses the horizon at 150 and still
+        // runs; the loop stops after it.
+        assert!(!sim.run_until(SimTime(150), |_| false));
+        assert_eq!(sim.now(), SimTime(200));
+        assert_eq!(sim.world.log.len(), 2);
+        // Drained queue: the final answer is `pred`'s.
+        assert!(sim.run_until(SimTime::NEVER, |s| s.world.log.len() == 3));
+        assert!(!sim.run_until(SimTime::NEVER, |s| s.world.log.len() == 4));
+    }
+
+    #[test]
+    fn await_reply_delivers_or_times_out() {
+        let mut sim = Sim::new(World::default(), 1);
+        // Reply lands on a later event; the wait stops at that step.
+        sim.schedule_at(SimTime(900), |s| logit(s, "after"));
+        let got = sim.await_reply(SimTime::NEVER, |s, reply| {
+            s.schedule_at(SimTime(50), move |s| reply(s, 7u32));
+        });
+        assert_eq!(got, Some(7));
+        assert_eq!(sim.now(), SimTime(50));
         assert!(sim.world.log.is_empty());
+        // A reply made synchronously inside `start` takes no step.
+        let executed = sim.stats().executed;
+        assert_eq!(
+            sim.await_reply(SimTime::NEVER, |s, reply| reply(s, "now")),
+            Some("now")
+        );
+        assert_eq!(sim.stats().executed, executed);
+        // Horizon: the crossing step runs, then the wait gives up.
+        let late = sim.await_reply(SimTime(100), |s, reply| {
+            s.schedule_at(SimTime(2000), move |s| reply(s, ()));
+        });
+        assert_eq!(late, None);
+        assert_eq!(sim.now(), SimTime(900));
+        // Drained queue: the reply is never sent.
+        let never: Option<u8> = sim.await_reply(SimTime::NEVER, |_, _reply| {});
+        assert_eq!(never, None);
+        assert_eq!(sim.events_pending(), 0);
     }
 
     #[test]

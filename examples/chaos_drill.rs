@@ -94,7 +94,7 @@ fn main() {
         cluster::failure::crash_node(sim, NodeId(4));
     });
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
 

@@ -65,7 +65,7 @@ fn main() {
         },
     );
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
     assert!(

@@ -45,7 +45,7 @@ fn main() {
     );
     println!("== periodic LSC checkpoints every 15 s");
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
     assert!(

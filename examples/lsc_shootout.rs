@@ -34,18 +34,14 @@ fn trial(n: usize, method: LscMethod, seed: u64) -> (bool, bool, SimDuration) {
     });
 
     let at = sim.now() + SimDuration::from_secs(60);
-    sim.schedule_at(at, move |sim| {
-        dvc::lsc::checkpoint_vc(sim, vc, method, |sim, out| {
-            sim.world.ext.insert(out);
+    let horizon = SimTime::from_secs_f64(400.0);
+    let out = sim.await_reply(horizon, |sim, reply| {
+        sim.schedule_at(at, move |sim| {
+            dvc::lsc::checkpoint_vc(sim, vc, method, reply);
         });
     });
-
-    // Run until the checkpoint outcome exists and any transport fallout
-    // has had time to surface.
-    scenarios::run_until(&mut sim, SimTime::from_secs_f64(400.0), |sim| {
-        sim.world.ext.get::<LscOutcome>().is_some() && sim.now() > at + SimDuration::from_secs(120)
-    });
-    let out = sim.world.ext.get::<LscOutcome>().cloned();
+    // Give any transport fallout time to surface.
+    sim.run_until(horizon, |sim| sim.now() > at + SimDuration::from_secs(120));
     let app_ok = mpi::harness::first_failure(&sim, &job).is_none();
     match out {
         Some(o) => (o.success, app_ok, o.pause_skew),

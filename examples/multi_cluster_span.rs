@@ -40,28 +40,29 @@ fn main() {
 
     // Checkpoint mid-run with the NTP coordinator.
     let at = sim.now() + SimDuration::from_secs(8);
-    sim.schedule_at(at, move |sim| {
-        dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), |sim, out| {
-            println!(
-                "== spanning checkpoint: success={} pause_skew={} (WAN-synced clocks)",
-                out.success, out.pause_skew
-            );
-            assert!(out.success);
-            sim.world.ext.insert(out);
-        });
-    });
+    let horizon = SimTime::from_secs_f64(7200.0);
+    let out = sim
+        .await_reply(horizon, |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), reply);
+            });
+        })
+        .expect("checkpoint never happened");
+    println!(
+        "== spanning checkpoint: success={} pause_skew={} (WAN-synced clocks)",
+        out.success, out.pause_skew
+    );
+    assert!(out.success);
+    assert!(
+        !mpi::harness::all_done(&sim, &job),
+        "checkpoint never happened (job finished too early)"
+    );
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
-        mpi::harness::all_done(sim, &job)
-    });
+    let done = sim.run_until(horizon, |sim| mpi::harness::all_done(sim, &job));
     assert!(
         done,
         "PTRANS stalled: {:?}",
         mpi::harness::first_failure(&sim, &job)
-    );
-    assert!(
-        sim.world.ext.get::<LscOutcome>().is_some(),
-        "checkpoint never happened (job finished too early)"
     );
 
     for r in 0..job.size {

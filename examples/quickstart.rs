@@ -79,7 +79,7 @@ fn main() {
     // Note: while the crashed VC is being restored its VMs are transiently
     // "dead", so we wait for completion rather than reacting to transient
     // state; a stuck job is caught by the horizon.
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
     if !done {

@@ -112,18 +112,4 @@ pub mod scenarios {
         let vms = dvc_core::vc::vc(sim, vc).expect("vc").vms.clone();
         harness::launch_on_vms(sim, &vms, program)
     }
-
-    /// Step the sim until `pred`, the queue drains, or `horizon` passes.
-    pub fn run_until(
-        sim: &mut Sim<ClusterWorld>,
-        horizon: SimTime,
-        mut pred: impl FnMut(&mut Sim<ClusterWorld>) -> bool,
-    ) -> bool {
-        while !pred(sim) {
-            if sim.now() > horizon || !sim.step() {
-                return pred(sim);
-            }
-        }
-        true
-    }
 }

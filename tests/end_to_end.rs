@@ -47,7 +47,7 @@ fn checkpoint_migrate_survive_story() {
         });
     });
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(3600.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
     assert!(done, "{:?}", mpi::harness::first_failure(&sim, &job));
@@ -86,16 +86,17 @@ fn full_stack_determinism() {
             workloads::ring::program(cfg, r, s)
         });
         let at = sim.now() + SimDuration::from_secs(10);
-        sim.schedule_at(at, move |sim| {
-            dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), |sim, out| {
-                sim.world.ext.insert(out);
-            });
-        });
-        let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(3600.0), |sim| {
-            mpi::harness::all_done(sim, &job)
-        });
+        let horizon = SimTime::from_secs_f64(3600.0);
+        let out = sim
+            .await_reply(horizon, |sim, reply| {
+                sim.schedule_at(at, move |sim| {
+                    dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), reply);
+                });
+            })
+            .unwrap();
+        assert!(!mpi::harness::all_done(&sim, &job), "landed after the job");
+        let done = sim.run_until(horizon, |sim| mpi::harness::all_done(sim, &job));
         assert!(done);
-        let out = sim.world.ext.get::<LscOutcome>().unwrap();
         let st = mpi::harness::rank(&sim, &job, 0).stats.clone();
         (
             sim.now().nanos(),
@@ -147,7 +148,7 @@ fn hpl_residual_survives_migration() {
         });
     });
 
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
+    let done = sim.run_until(SimTime::from_secs_f64(7200.0), |sim| {
         mpi::harness::all_done(sim, &job)
     });
     assert!(done, "{:?}", mpi::harness::first_failure(&sim, &job));
@@ -181,20 +182,21 @@ fn spanning_vc_checkpoints_across_clusters() {
         workloads::ptrans::program(cfg, r, s)
     });
     let at = sim.now() + SimDuration::from_secs(8);
-    sim.schedule_at(at, move |sim| {
-        dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), |sim, out| {
-            assert!(out.success, "{}", out.detail);
-            sim.world.ext.insert(out);
-        });
-    });
-    let done = scenarios::run_until(&mut sim, SimTime::from_secs_f64(7200.0), |sim| {
-        mpi::harness::all_done(sim, &job)
-    });
-    assert!(done, "{:?}", mpi::harness::first_failure(&sim, &job));
+    let horizon = SimTime::from_secs_f64(7200.0);
+    let out = sim
+        .await_reply(horizon, |sim, reply| {
+            sim.schedule_at(at, move |sim| {
+                dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), reply);
+            });
+        })
+        .unwrap();
+    assert!(out.success, "{}", out.detail);
     assert!(
-        sim.world.ext.get::<LscOutcome>().is_some(),
+        !mpi::harness::all_done(&sim, &job),
         "checkpoint should have landed mid-run"
     );
+    let done = sim.run_until(horizon, |sim| mpi::harness::all_done(sim, &job));
+    assert!(done, "{:?}", mpi::harness::first_failure(&sim, &job));
     for r in 0..job.size {
         let d = &mpi::harness::rank(&sim, &job, r).data;
         assert_eq!(d.f64("pt.worst_err"), 0.0);

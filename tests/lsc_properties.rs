@@ -32,27 +32,20 @@ fn cycle_trial(seed: u64, vnodes: usize, offset_ms: u64, cycles: u32) -> Result<
     // Warm up NTP + the job, then run the cycles back-to-back with an
     // arbitrary sub-second phase.
     let warm = sim.now() + SimDuration::from_secs(30) + SimDuration::from_millis(offset_ms);
-    let _ = scenarios::run_until(&mut sim, warm, |_| false);
+    let _ = sim.run_until(warm, |_| false);
     for k in 0..cycles {
-        #[derive(Default)]
-        struct Got(Option<bool>);
-        sim.world.ext.insert(Got::default());
-        dvc::lsc::checkpoint_vc(&mut sim, vc, LscMethod::ntp_default(), |sim, out| {
-            sim.world.ext.get_or_default::<Got>().0 = Some(out.success);
+        let out = sim.await_reply(SimTime::from_secs_f64(1e6), |sim, reply| {
+            dvc::lsc::checkpoint_vc(sim, vc, LscMethod::ntp_default(), reply);
         });
-        let ok = scenarios::run_until(&mut sim, SimTime::from_secs_f64(1e6), |sim| {
-            sim.world.ext.get::<Got>().is_some_and(|g| g.0.is_some())
-        });
-        if !ok {
-            return Err(format!("cycle {k}: sim drained before outcome"));
-        }
-        if sim.world.ext.get::<Got>().unwrap().0 != Some(true) {
-            return Err(format!("cycle {k}: checkpoint failed"));
+        match out {
+            None => return Err(format!("cycle {k}: sim drained before outcome")),
+            Some(o) if !o.success => return Err(format!("cycle {k}: checkpoint failed")),
+            Some(_) => {}
         }
     }
     // Let any transport fallout surface.
     let until = sim.now() + SimDuration::from_secs(60);
-    let _ = scenarios::run_until(&mut sim, until, |_| false);
+    let _ = sim.run_until(until, |_| false);
 
     if let Some((r, e)) = mpi::harness::first_failure(&sim, &job) {
         return Err(format!("rank {r} failed: {e}"));
