@@ -1,6 +1,6 @@
 //! Rank-local data: named values and their wire encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use dvc_sim_core::FastMap;
 
 /// A value a rank can hold and ship.
@@ -31,7 +31,7 @@ impl Value {
     }
 
     /// Append the wire encoding ([`Value::wire_len`] bytes) to `b`, e.g.
-    /// straight after a frame header.
+    /// straight after a frame header. Vectors are written in one pass.
     pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             Value::F64(x) => {
@@ -44,17 +44,11 @@ impl Value {
             }
             Value::F64Vec(v) => {
                 b.put_u8(2);
-                b.put_u64_le(v.len() as u64);
-                for x in v {
-                    b.put_f64_le(*x);
-                }
+                put_words(b, v.iter().map(|x| x.to_le_bytes()));
             }
             Value::U64Vec(v) => {
                 b.put_u8(3);
-                b.put_u64_le(v.len() as u64);
-                for x in v {
-                    b.put_u64_le(*x);
-                }
+                put_words(b, v.iter().map(|x| x.to_le_bytes()));
             }
             Value::Bytes(v) => {
                 b.put_u8(4);
@@ -64,44 +58,23 @@ impl Value {
         }
     }
 
-    pub fn decode(mut buf: Bytes) -> Result<Value, String> {
-        if buf.is_empty() {
-            return Err("empty value".into());
-        }
-        let tag = buf.get_u8();
-        let need = |b: &Bytes, n: usize| -> Result<(), String> {
-            if b.len() < n {
-                Err(format!("short value: need {n}, have {}", b.len()))
-            } else {
-                Ok(())
-            }
-        };
+    /// Decode one value from the front of `buf` (trailing bytes are
+    /// ignored). Truncated input, an unknown tag or a length that cannot
+    /// fit in memory is an error, never a short value.
+    pub fn decode(buf: &[u8]) -> Result<Value, String> {
+        let (&tag, mut buf) = buf.split_first().ok_or("empty value")?;
         match tag {
-            0 => {
-                need(&buf, 8)?;
-                Ok(Value::F64(buf.get_f64_le()))
-            }
-            1 => {
-                need(&buf, 8)?;
-                Ok(Value::U64(buf.get_u64_le()))
-            }
-            2 => {
-                need(&buf, 8)?;
-                let n = buf.get_u64_le() as usize;
-                need(&buf, n * 8)?;
-                Ok(Value::F64Vec((0..n).map(|_| buf.get_f64_le()).collect()))
-            }
-            3 => {
-                need(&buf, 8)?;
-                let n = buf.get_u64_le() as usize;
-                need(&buf, n * 8)?;
-                Ok(Value::U64Vec((0..n).map(|_| buf.get_u64_le()).collect()))
-            }
+            0 => Ok(Value::F64(f64::from_le_bytes(take_word(&mut buf)?))),
+            1 => Ok(Value::U64(u64::from_le_bytes(take_word(&mut buf)?))),
+            2 => Ok(Value::F64Vec(
+                take_words(&mut buf)?.map(f64::from_le_bytes).collect(),
+            )),
+            3 => Ok(Value::U64Vec(
+                take_words(&mut buf)?.map(u64::from_le_bytes).collect(),
+            )),
             4 => {
-                need(&buf, 8)?;
-                let n = buf.get_u64_le() as usize;
-                need(&buf, n)?;
-                Ok(Value::Bytes(buf.slice(..n).to_vec()))
+                let n = byte_len(u64::from_le_bytes(take_word(&mut buf)?), 1)?;
+                Ok(Value::Bytes(take(&mut buf, n)?.to_vec()))
             }
             t => Err(format!("unknown value tag {t}")),
         }
@@ -134,6 +107,48 @@ impl Value {
             _ => None,
         }
     }
+}
+
+/// Append a length prefix and `words` as 8-byte little-endian words: one
+/// resize, then each word copied into its slot.
+fn put_words(b: &mut BytesMut, words: impl ExactSizeIterator<Item = [u8; 8]>) {
+    b.put_u64_le(words.len() as u64);
+    let start = b.len();
+    b.resize(start + words.len() * 8, 0);
+    for (slot, w) in b[start..].chunks_exact_mut(8).zip(words) {
+        slot.copy_from_slice(&w);
+    }
+}
+
+/// Split `n` bytes off the front of `buf`.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+    if buf.len() < n {
+        return Err(format!("short value: need {n}, have {}", buf.len()));
+    }
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+fn take_word(buf: &mut &[u8]) -> Result<[u8; 8], String> {
+    Ok(take(buf, 8)?.try_into().expect("take returns 8 bytes"))
+}
+
+/// A length prefix and the 8-byte words it counts, off the front of `buf`.
+fn take_words<'a>(buf: &mut &'a [u8]) -> Result<impl Iterator<Item = [u8; 8]> + 'a, String> {
+    let n = byte_len(u64::from_le_bytes(take_word(buf)?), 8)?;
+    Ok(take(buf, n)?
+        .chunks_exact(8)
+        .map(|w| w.try_into().expect("chunks are 8 bytes")))
+}
+
+/// Bytes taken by `n` elements of `size` bytes; an error when that
+/// overflows the address space (a corrupt or hostile length prefix).
+fn byte_len(n: u64, size: usize) -> Result<usize, String> {
+    usize::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(size))
+        .ok_or_else(|| format!("value length {n} overflows"))
 }
 
 /// A rank's named-value store. All application state lives here so that
@@ -216,16 +231,24 @@ mod tests {
         for v in vals {
             let enc = v.encode();
             assert_eq!(enc.len(), v.wire_len());
-            let dec = Value::decode(enc).unwrap();
+            let dec = Value::decode(&enc).unwrap();
             assert_eq!(dec, v);
         }
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Value::decode(Bytes::new()).is_err());
-        assert!(Value::decode(Bytes::from_static(&[9, 0, 0])).is_err());
-        assert!(Value::decode(Bytes::from_static(&[2, 255, 0, 0, 0, 0, 0, 0, 0])).is_err());
+        assert!(Value::decode(&[]).is_err());
+        assert!(Value::decode(&[9, 0, 0]).is_err());
+        assert!(Value::decode(&[2, 255, 0, 0, 0, 0, 0, 0, 0]).is_err());
+        // A count whose byte length overflows usize is an error, not a
+        // panic and not a silently empty vector.
+        for tag in [2, 3] {
+            let mut b = vec![tag];
+            b.extend_from_slice(&(1u64 << 61).to_le_bytes());
+            let err = Value::decode(&b).unwrap_err();
+            assert!(err.contains("overflows"), "{err}");
+        }
     }
 
     #[test]

@@ -288,10 +288,11 @@ impl MpiRuntime {
             self.parse_frames(src);
         }
 
-        // Per-peer reads, error checks, tx flushing, in rank order.
+        // Per-peer error checks, reads and tx flushing, in rank order.
         for i in 0..self.peer_order.len() {
             let r = self.peer_order[i];
-            let Some(sock) = self.peers[&r].sock else {
+            let peer = &self.peers[&r];
+            let Some(sock) = peer.sock else {
                 continue;
             };
             if let Some(err) = ctx.tcp.error(sock) {
@@ -299,6 +300,12 @@ impl MpiRuntime {
                     "rank {}: connection to rank {r} failed: {err:?}",
                     self.rank
                 ));
+            }
+            // An idle peer has nothing to do: reading 0 bytes neither
+            // reopens a window nor grows `rx` (already parsed after its
+            // last append), and an empty `tx` flushes nothing.
+            if peer.tx.is_empty() && ctx.tcp.readable_bytes(sock) == 0 {
+                continue;
             }
             {
                 let peer = self.peers.get_mut(&r).unwrap();
@@ -384,7 +391,7 @@ impl MpiRuntime {
                 Op::Recv { from, tag, into } => {
                     let msg = self.inbox.get_mut(&(from, tag)).and_then(|q| q.pop_front());
                     match msg {
-                        Some(payload) => match Value::decode(bytes::Bytes::from(payload)) {
+                        Some(payload) => match Value::decode(&payload) {
                             Ok(v) => self.data.set(into, v),
                             Err(e) => return self.fail(format!("recv decode: {e}")),
                         },
@@ -548,10 +555,7 @@ mod tests {
         let framed = rt.frame_value(5, &Value::U64(9));
         rt.post(0, 5, framed);
         let msg = rt.inbox.get_mut(&(0, 5)).unwrap().pop_front().unwrap();
-        assert_eq!(
-            Value::decode(bytes::Bytes::from(msg)).unwrap(),
-            Value::U64(9)
-        );
+        assert_eq!(Value::decode(&msg).unwrap(), Value::U64(9));
         assert_eq!(rt.stats.msgs_sent, 1);
         assert_eq!(rt.stats.msgs_received, 1);
         assert_eq!(rt.stats.bytes_sent, 9);
@@ -569,10 +573,7 @@ mod tests {
         rt.peer_mut(1).rx.extend_from_slice(&second_half);
         rt.parse_frames(1);
         let msg = rt.inbox.get_mut(&(1, 9)).unwrap().pop_front().unwrap();
-        assert_eq!(
-            Value::decode(bytes::Bytes::from(msg)).unwrap(),
-            Value::F64(2.5)
-        );
+        assert_eq!(Value::decode(&msg).unwrap(), Value::F64(2.5));
         assert!(rt.peers[&1].rx.is_empty());
     }
 
@@ -598,6 +599,100 @@ mod tests {
         while deliver(a, b) | deliver(b, a) {}
     }
 
+    fn pump(rt: &mut MpiRuntime, os: &mut GuestOs) -> Result<(), String> {
+        let mut ctx = GuestCtx {
+            now: 0,
+            tcp: &mut os.tcp,
+            udp: &mut os.udp,
+            disk: &mut os.disk,
+            kmsg: &mut os.kmsg,
+        };
+        rt.pump_io(&mut ctx)
+    }
+
+    /// Rank 0 of 2 with rank 1's connection accepted and identified, and
+    /// the local stack's output drained. The socket is rank 1's end.
+    fn connected_pair() -> (MpiRuntime, GuestOs, TcpStack, SockId) {
+        let mut rt = runtime(0, 2);
+        let mut os = GuestOs::new(Addr::Virt(VirtAddr(0)), TcpConfig::default());
+        let mut remote = TcpStack::new(Addr::Virt(VirtAddr(1)), TcpConfig::default());
+        pump(&mut rt, &mut os).expect("listen");
+        let sock = remote.connect(0, Addr::Virt(VirtAddr(0)), MPI_PORT);
+        shuttle(&mut remote, &mut os.tcp);
+        let hello = frame(&runtime(1, 2), HELLO_TAG, &[]);
+        assert_eq!(remote.send(0, sock, &hello), HDR);
+        shuttle(&mut remote, &mut os.tcp);
+        pump(&mut rt, &mut os).expect("identify");
+        shuttle(&mut remote, &mut os.tcp);
+        assert!(rt.peers[&1].sock.is_some(), "rank 1 not identified");
+        os.tcp.out.clear();
+        (rt, os, remote, sock)
+    }
+
+    #[test]
+    fn idle_peer_with_partial_frame_is_left_alone() {
+        let (mut rt, mut os, mut remote, sock) = connected_pair();
+        let f = frame(&runtime(1, 2), 9, &Value::F64(2.5).encode());
+        assert_eq!(remote.send(0, sock, &f[..7]), 7);
+        shuttle(&mut remote, &mut os.tcp);
+        pump(&mut rt, &mut os).expect("read partial");
+        shuttle(&mut remote, &mut os.tcp);
+        os.tcp.out.clear();
+
+        // Nothing readable, nothing to send, half a frame buffered.
+        let local = rt.peers[&1].sock.unwrap();
+        assert_eq!(os.tcp.readable_bytes(local), 0);
+        assert!(rt.peers[&1].tx.is_empty());
+        pump(&mut rt, &mut os).expect("idle pump");
+        assert!(os.tcp.out.is_empty(), "idle pump emitted {:?}", os.tcp.out);
+        assert_eq!(rt.peers[&1].rx, f[..7]);
+        assert!(rt.inbox.is_empty());
+
+        // The rest of the frame completes it.
+        assert_eq!(remote.send(0, sock, &f[7..]), f.len() - 7);
+        shuttle(&mut remote, &mut os.tcp);
+        pump(&mut rt, &mut os).expect("read rest");
+        let msg = rt.inbox.get_mut(&(1, 9)).unwrap().pop_front().unwrap();
+        assert_eq!(Value::decode(&msg).unwrap(), Value::F64(2.5));
+    }
+
+    #[test]
+    fn errored_idle_peer_still_fails_the_pump() {
+        let (mut rt, mut os, mut remote, sock) = connected_pair();
+        remote.abort(0, sock);
+        shuttle(&mut remote, &mut os.tcp);
+        let local = rt.peers[&1].sock.unwrap();
+        assert!(os.tcp.error(local).is_some(), "reset not seen");
+        assert_eq!(os.tcp.readable_bytes(local), 0);
+        assert!(rt.peers[&1].tx.is_empty());
+        let err = pump(&mut rt, &mut os).unwrap_err();
+        assert!(err.contains("connection to rank 1 failed"), "{err}");
+    }
+
+    #[test]
+    fn queued_tx_on_idle_peer_is_flushed() {
+        let (mut rt, mut os, _remote, _sock) = connected_pair();
+        let framed = rt.frame_value(4, &Value::U64(7));
+        let len = framed.len();
+        rt.post(1, 4, framed);
+        let local = rt.peers[&1].sock.unwrap();
+        assert_eq!(os.tcp.readable_bytes(local), 0);
+        pump(&mut rt, &mut os).expect("flush");
+        assert!(rt.peers[&1].tx.is_empty());
+        let sent: usize = os
+            .tcp
+            .out
+            .iter()
+            .map(|o| match o {
+                StackOutput::Packet(Packet {
+                    l4: L4::Tcp(seg), ..
+                }) => seg.payload.len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(sent, len);
+    }
+
     #[test]
     fn peers_created_out_of_order_are_served_in_rank_order() {
         // Rank 0 talks to ranks 5, 1 and 3, all reached through one remote
@@ -611,17 +706,7 @@ mod tests {
 
         let mut os = GuestOs::new(Addr::Virt(VirtAddr(0)), TcpConfig::default());
         let mut remote = TcpStack::new(Addr::Virt(VirtAddr(1)), TcpConfig::default());
-        let pump = |rt: &mut MpiRuntime, os: &mut GuestOs| {
-            let mut ctx = GuestCtx {
-                now: 0,
-                tcp: &mut os.tcp,
-                udp: &mut os.udp,
-                disk: &mut os.disk,
-                kmsg: &mut os.kmsg,
-            };
-            rt.pump_io(&mut ctx).expect("pump");
-        };
-        pump(&mut rt, &mut os); // listen
+        pump(&mut rt, &mut os).expect("listen");
         let socks: Vec<SockId> = [5, 1, 3]
             .iter()
             .map(|_| remote.connect(0, Addr::Virt(VirtAddr(0)), MPI_PORT))
@@ -637,7 +722,7 @@ mod tests {
         os.tcp.out.clear();
 
         // One pump identifies the three peers and flushes their frames.
-        pump(&mut rt, &mut os);
+        pump(&mut rt, &mut os).expect("pump");
         let port_rank: Vec<(u16, usize)> = rt
             .peer_order
             .iter()

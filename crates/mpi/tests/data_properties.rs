@@ -20,12 +20,61 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Any f64 bit pattern, with NaNs (random payload and sign), infinities
+/// and both zeros drawn often.
+fn arb_f64_bits() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        any::<u64>().prop_map(|b| f64::from_bits(b | 0x7ff0_0000_0000_0001)),
+        prop_oneof![
+            Just(-0.0),
+            Just(0.0),
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ],
+    ]
+}
+
+/// The per-element reference encoding of a vector value.
+fn reference_encoding(tag: u8, words: &[u64]) -> Vec<u8> {
+    let mut b = vec![tag];
+    b.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    for w in words {
+        b.extend_from_slice(&w.to_le_bytes());
+    }
+    b
+}
+
 proptest! {
+    /// Vectors go on the wire bit for bit: NaN payloads, signs and
+    /// `-0.0` included, and come back with the same bits.
+    #[test]
+    fn vector_encoding_is_bit_exact(
+        floats in prop::collection::vec(arb_f64_bits(), 0..300),
+        ints in prop::collection::vec(any::<u64>(), 0..300),
+    ) {
+        let bits: Vec<u64> = floats.iter().map(|x| x.to_bits()).collect();
+        let fv = Value::F64Vec(floats);
+        prop_assert_eq!(&fv.encode()[..], &reference_encoding(2, &bits)[..]);
+        match Value::decode(&fv.encode()) {
+            Ok(Value::F64Vec(back)) => {
+                let back: Vec<u64> = back.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(back, bits);
+            }
+            other => prop_assert!(false, "decoded {other:?}"),
+        }
+        let uv = Value::U64Vec(ints.clone());
+        prop_assert_eq!(&uv.encode()[..], &reference_encoding(3, &ints)[..]);
+        prop_assert_eq!(Value::decode(&uv.encode()), Ok(uv));
+    }
+
     #[test]
     fn value_encoding_roundtrips(v in arb_value()) {
         let enc = v.encode();
         prop_assert_eq!(enc.len(), v.wire_len());
-        let dec = Value::decode(enc).unwrap();
+        let dec = Value::decode(&enc).unwrap();
         prop_assert_eq!(dec, v);
     }
 
@@ -37,7 +86,7 @@ proptest! {
         let enc = v.encode();
         if enc.len() > 1 {
             let n = cut.index(enc.len() - 1); // 0..len-1: always a strict prefix
-            let r = Value::decode(enc.slice(..n));
+            let r = Value::decode(&enc[..n]);
             // Either an error, or — for vector types — impossible.
             prop_assert!(r.is_err(), "decoded a truncated value: {r:?}");
         }

@@ -98,13 +98,12 @@ fn stamp_out(data: &mut RankData, rank: usize, _size: usize) {
 fn check_in(data: &mut RankData, rank: usize, size: usize) {
     let lap = data.u64("ring.iter") - 1;
     let prev = ((rank + size - 1) % size) as u64;
-    let inn = data.vec_f64("ring.in").clone();
-    let mut bad = 0u64;
-    for (i, &v) in inn.iter().enumerate() {
-        if v != payload_elem(prev, lap, i) {
-            bad += 1;
-        }
-    }
+    let bad = data
+        .vec_f64("ring.in")
+        .iter()
+        .enumerate()
+        .filter(|&(i, &v)| v != payload_elem(prev, lap, i))
+        .count() as u64;
     if bad > 0 {
         let e = data.u64("ring.errors");
         data.set("ring.errors", Value::U64(e + bad));

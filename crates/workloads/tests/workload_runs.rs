@@ -5,6 +5,7 @@ use dvc_cluster::world::ClusterBuilder;
 use dvc_mpi::harness::{self, run_job};
 use dvc_sim_core::{Sim, SimTime};
 use dvc_workloads::{hpl, ptrans, ring, stream};
+use proptest::prelude::*;
 
 fn sim(nodes: usize) -> Sim<dvc_cluster::world::ClusterWorld> {
     Sim::new(
@@ -20,44 +21,46 @@ fn horizon() -> SimTime {
     SimTime::from_secs_f64(3600.0)
 }
 
-#[test]
-fn distributed_hpl_verifies_residual() {
-    // The n=256 shapes give each rank several panels and do swap rows,
-    // which is what exposed pivots applied twice to the owner's columns.
-    for (n, nb, ranks, pivots) in [
-        (64, 8, 4, false),
-        (96, 8, 3, false),
-        (128, 16, 4, false),
-        (256, 16, 8, true),
-        (256, 16, 4, true),
-    ] {
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
+
+    /// Distributed LU over random shapes: 16–36 panels dealt over 2–8
+    /// ranks (unevenly when the rank count does not divide them), so every
+    /// rank owns several panels and panels and pivots cross the wire as
+    /// `F64Vec`/`U64Vec` messages. From n = 256 up this generator's
+    /// matrices always swap rows (checked over 400 seeds), the case that
+    /// exposed pivots applied twice to the owner's columns.
+    #[test]
+    fn distributed_hpl_verifies_residual(
+        nb in prop_oneof![Just(8usize), Just(16)],
+        wide in 0usize..5,
+        ranks in 2usize..9,
+        seed in any::<u64>(),
+    ) {
+        let n = 256 + wide * 8;
+        let n = n - n % nb;
         let mut s = sim(ranks);
         let nodes = s.world.node_ids();
-        let cfg = hpl::HplConfig::new(n, nb, 99);
+        let cfg = hpl::HplConfig::new(n, nb, seed);
         let job = harness::launch(&mut s, &nodes, ranks, 128, move |r, sz| {
             hpl::program(cfg, r, sz)
         });
-        run_job(&mut s, &job, horizon())
-            .unwrap_or_else(|e| panic!("hpl n={n} ranks={ranks} failed: {e}"));
+        let run = run_job(&mut s, &job, horizon());
+        prop_assert!(run.is_ok(), "hpl n={n} nb={nb} ranks={ranks} failed: {run:?}");
         for r in 0..ranks {
             let res = harness::rank(&s, &job, r).data.f64("hpl.residual");
-            assert!(
-                res.is_finite() && res < 1e-10,
-                "n={n} ranks={ranks} rank {r}: residual {res}"
-            );
+            prop_assert!(res.is_finite() && res < 1e-10, "rank {r}: residual {res}");
         }
-        if pivots {
-            let piv = harness::rank(&s, &job, 0).data.get("piv");
-            let piv = piv.and_then(|v| v.as_u64_vec()).expect("piv");
-            assert!(
-                piv.iter().enumerate().any(|(j, &p)| p != j as u64),
-                "n={n} nb={nb} ranks={ranks}: no row was ever swapped"
-            );
-        }
+        let piv = harness::rank(&s, &job, 0).data.get("piv");
+        let piv = piv.and_then(|v| v.as_u64_vec()).expect("piv");
+        prop_assert!(
+            piv.iter().enumerate().any(|(j, &p)| p != j as u64),
+            "no row was ever swapped"
+        );
         // Both markers present → self-reported runtime is measurable.
         let st = &harness::rank(&s, &job, 0).stats;
         let names: Vec<_> = st.markers.iter().map(|m| m.0).collect();
-        assert!(names.contains(&"hpl-start") && names.contains(&"hpl-end"));
+        prop_assert!(names.contains(&"hpl-start") && names.contains(&"hpl-end"));
     }
 }
 
