@@ -95,10 +95,12 @@ fn run_trace(seed: u64, spanning: bool) -> TraceResult {
     }
 
     // Run until every job completed.
-    while sim.world.ext.get::<Waits>().map(|w| w.1) != Some(n_jobs) {
-        assert!(sim.step(), "trace stalled (jobs starved)");
-        assert!(sim.now() < SimTime::from_secs_f64(1e6), "trace runaway");
-    }
+    let runaway = SimTime::from_secs_f64(1e6);
+    let done = sim.run_until(runaway, |sim| {
+        sim.world.ext.get::<Waits>().map(|w| w.1) == Some(n_jobs)
+    });
+    assert!(done || sim.now() <= runaway, "trace runaway");
+    assert!(done, "trace stalled (jobs starved)");
     let waits = &sim.world.ext.get::<Waits>().unwrap().0;
     TraceResult {
         makespan_s: sim.now().as_secs_f64(),

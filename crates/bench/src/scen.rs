@@ -98,9 +98,10 @@ impl TrialWorld {
         spec.os_image_bytes = 32 << 20;
         spec.boot_time = SimDuration::from_secs(5);
         let id = vc::provision_vc(&mut sim, spec, hosts, |_s, _i| {});
-        while vc::vc(&sim, id).map(|v| v.state) != Some(vc::VcState::Up) {
-            assert!(sim.step(), "provisioning stalled");
-        }
+        let up = sim.run_until(SimTime::NEVER, |sim| {
+            vc::vc(sim, id).map(|v| v.state) == Some(vc::VcState::Up)
+        });
+        assert!(up, "provisioning stalled");
         (sim, id)
     }
 }
@@ -125,22 +126,12 @@ pub fn ring_load_sparse(sim: &mut Sim<ClusterWorld>, vc_id: VcId, laps: u64) -> 
         compute_ns: 200_000_000,
     };
     let vms = vc::vc(sim, vc_id).unwrap().vms.clone();
-    let map: Vec<dvc_net::Addr> = vms
-        .iter()
-        .map(|&vm| sim.world.vm(vm).unwrap().guest.addr)
-        .collect();
-    for (rank, &vm) in vms.iter().enumerate() {
-        let node = sim.world.vm_host[&vm];
-        let gflops = sim.world.node(node).cpu_gflops;
-        let (ops, data) = ring::program(cfg, rank, vms.len());
-        let rt = dvc_mpi::runtime::MpiRuntime::new(rank, vms.len(), map.clone(), gflops, ops, data)
-            .with_peer_hint(harness::ring_hint(rank, vms.len()));
-        dvc_cluster::glue::spawn_proc(sim, vm, format!("rank{rank}"), Box::new(rt));
-    }
-    MpiJob {
+    harness::launch_ranks(
+        sim,
         vms,
-        size: map.len(),
-    }
+        move |r, s| ring::program(cfg, r, s),
+        Some(harness::ring_hint),
+    )
 }
 
 /// Execute `cycles` sequential checkpoint(+resume) cycles, `gap` apart,

@@ -54,7 +54,7 @@ fn field_bool(line: &str, name: &str) -> Option<bool> {
 /// consume, `Ok(None)` for valid lines with other keys, `Err` for
 /// malformed input (no timestamp/key, missing fields on a known key, or an
 /// unregistered span name).
-pub fn parse_line(line: &str) -> Result<Option<(SimTime, Event)>, String> {
+pub(crate) fn parse_line(line: &str) -> Result<Option<(SimTime, Event)>, String> {
     let line = line.trim();
     if line.is_empty() {
         return Ok(None);

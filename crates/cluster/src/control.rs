@@ -19,27 +19,39 @@ use crate::world::ClusterWorld;
 use dvc_sim_core::rng::lognormal_sample;
 use dvc_sim_core::{Event, FaultEvent, Sim, SimDuration};
 
+/// Median of a terminal-connection *open*, seconds. Calibrated so
+/// serialized terminal fan-out reproduces the paper's naive-LSC failure
+/// curve (DESIGN.md §2): ≈0.55 s median per-connection open, heavy upper
+/// tail.
+const OPEN_MEDIAN_S: f64 = 0.55;
+/// Log-normal σ of a terminal-connection open.
+const OPEN_SIGMA: f64 = 0.55;
+/// Log-normal σ of command dispatch + remote service (its μ is
+/// [`crate::world::ControlCfg::cmd_mu`]).
+const CMD_SIGMA: f64 = 0.45;
+/// Fixed floor added to every control exchange, seconds.
+const BASE_LATENCY_S: f64 = 0.02;
+
 /// Sample the latency of opening a terminal connection to `node`.
 pub fn open_delay(sim: &mut Sim<ClusterWorld>, node: NodeId) -> SimDuration {
-    let cfg = sim.world.cfg.ctrl;
     let load = sim.world.node(node).load;
     let rng = sim.rng.stream("ctrl.open");
-    let s = lognormal_sample(rng, cfg.open_mu, cfg.open_sigma);
-    SimDuration::from_secs_f64(cfg.base_latency_s + s * (1.0 + 3.0 * load))
+    let s = lognormal_sample(rng, OPEN_MEDIAN_S.ln(), OPEN_SIGMA);
+    SimDuration::from_secs_f64(BASE_LATENCY_S + s * (1.0 + 3.0 * load))
 }
 
 /// Sample the latency of dispatching a command to `node`.
 pub fn cmd_delay(sim: &mut Sim<ClusterWorld>, node: NodeId) -> SimDuration {
-    let cfg = sim.world.cfg.ctrl;
+    let cmd_mu = sim.world.cfg.ctrl.cmd_mu;
     let load = sim.world.node(node).load;
     let rng = sim.rng.stream("ctrl.cmd");
-    let s = lognormal_sample(rng, cfg.cmd_mu, cfg.cmd_sigma);
-    SimDuration::from_secs_f64(cfg.base_latency_s + s * (1.0 + 3.0 * load))
+    let s = lognormal_sample(rng, cmd_mu, CMD_SIGMA);
+    SimDuration::from_secs_f64(BASE_LATENCY_S + s * (1.0 + 3.0 * load))
 }
 
 /// True when the control path to `node` is severed by a partition window
 /// right now.
-pub fn partitioned(sim: &Sim<ClusterWorld>, node: NodeId) -> bool {
+pub(crate) fn partitioned(sim: &Sim<ClusterWorld>, node: NodeId) -> bool {
     sim.world
         .faults
         .active("control.partition", Some(node.0 as u64), sim.now())

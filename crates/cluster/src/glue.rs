@@ -5,7 +5,7 @@
 //! * **Packet delivery** ([`deliver`]): dispatch fabric arrivals to host UDP
 //!   (dom0 services like `ntpd`) or to a guest's stacks. Paused or dead
 //!   guests silently drop — a suspended domain's vif receives nothing.
-//! * **Stack draining** ([`drain_vm`]): guest stack outputs become fabric
+//! * **Stack draining** (`drain_vm`): guest stack outputs become fabric
 //!   packets; socket events wake `Blocked` guest processes.
 //! * **Process scheduling**: guest processes are polled with epoch- and
 //!   generation-guarded events. `Compute` results are stretched by the VM's
@@ -35,7 +35,7 @@ pub fn local_now(sim: &Sim<ClusterWorld>, node: NodeId) -> LocalNs {
 }
 
 /// Node-local wall-clock "now" for the host of a VM.
-pub fn vm_local_now(sim: &Sim<ClusterWorld>, vm: VmId) -> Option<LocalNs> {
+pub(crate) fn vm_local_now(sim: &Sim<ClusterWorld>, vm: VmId) -> Option<LocalNs> {
     let host = *sim.world.vm_host.get(&vm)?;
     Some(local_now(sim, host))
 }
@@ -221,7 +221,7 @@ pub fn restore_vm(
 
 /// Place a saved image onto `target` immediately (the storage read already
 /// happened) and resume it.
-pub fn place_image(sim: &mut Sim<ClusterWorld>, image: &VmImage, target: NodeId) -> VmId {
+pub(crate) fn place_image(sim: &mut Sim<ClusterWorld>, image: &VmImage, target: NodeId) -> VmId {
     let id = place_image_paused(sim, image, target);
     resume_vm(sim, id);
     id
@@ -283,6 +283,13 @@ pub fn destroy_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 // Delivery & draining
 // ---------------------------------------------------------------------
 
+/// Native per-packet guest ingress processing cost, ns. The guest pays
+/// `NET_PKT_BASE_NS × net_factor` of serialized processing per packet;
+/// when that exceeds the wire's per-packet serialization (~12 µs for a
+/// full GigE frame), receive processing becomes the bottleneck — the
+/// Xen-era "DomU can't saturate GigE" effect.
+const NET_PKT_BASE_NS: u64 = 6_000;
+
 /// Fabric delivery entry point (called by `NetWorld::deliver`).
 pub fn deliver(sim: &mut Sim<ClusterWorld>, nic: NicId, pkt: Packet) {
     let Some(&node_id) = sim.world.nic_node.get(&nic) else {
@@ -318,7 +325,7 @@ pub fn deliver(sim: &mut Sim<ClusterWorld>, nic: NicId, pkt: Packet) {
             if !running {
                 return; // suspended guest: the frame is gone
             }
-            let cost_ns = (sim.world.cfg.net_pkt_base_ns as f64 * net_factor).round() as u64;
+            let cost_ns = (NET_PKT_BASE_NS as f64 * net_factor).round() as u64;
             if cost_ns == 0 {
                 guest_rx(sim, vm_id, pkt);
             } else {
@@ -372,7 +379,7 @@ fn guest_rx(sim: &mut Sim<ClusterWorld>, vm_id: VmId, pkt: Packet) {
 }
 
 /// Push a node's pending host-UDP datagrams onto the fabric.
-pub fn drain_host_udp(sim: &mut Sim<ClusterWorld>, node: NodeId) {
+pub(crate) fn drain_host_udp(sim: &mut Sim<ClusterWorld>, node: NodeId) {
     loop {
         let out: Vec<Packet> = std::mem::take(&mut sim.world.node_mut(node).host_udp.out);
         if out.is_empty() {
@@ -386,7 +393,7 @@ pub fn drain_host_udp(sim: &mut Sim<ClusterWorld>, node: NodeId) {
 
 /// Drain a guest's stack outputs: packets to the fabric, events as wakeups.
 /// Re-arms the guest TCP timer interrupt afterwards.
-pub fn drain_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
+pub(crate) fn drain_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     let mut had_events = false;
     loop {
         let Some(v) = sim.world.vm_mut(vm) else {
@@ -426,7 +433,7 @@ pub fn drain_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 
 /// Keep exactly one TCP timer interrupt armed per guest: re-arming cancels
 /// the previously armed event before scheduling the new deadline.
-pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
+pub(crate) fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     if let Some(h) = sim.world.arms(vm).timer.take() {
         sim.cancel(h);
     }
@@ -468,7 +475,7 @@ pub fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 // ---------------------------------------------------------------------
 
 /// Schedule a poll of process `idx` at `at` (cancelling any older schedule).
-pub fn schedule_poll_at(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize, at: SimTime) {
+pub(crate) fn schedule_poll_at(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize, at: SimTime) {
     if let Some(h) = sim.world.arms(vm).poll(idx).take() {
         sim.cancel(h);
     }
@@ -524,7 +531,7 @@ pub fn poll_proc(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize) {
 }
 
 /// Wake all `Blocked` processes of a guest (socket events arrived).
-pub fn wake_blocked_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
+pub(crate) fn wake_blocked_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     let blocked: Vec<usize> = {
         let Some(v) = sim.world.vm(vm) else { return };
         if !v.is_running() {
@@ -547,7 +554,7 @@ pub fn wake_blocked_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 /// Wake every live process (used on resume/restore). Sleeping processes are
 /// re-armed against the (possibly jumped) wall clock; runnable processes
 /// whose compute slice expired during the freeze complete immediately.
-pub fn wake_all_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
+pub(crate) fn wake_all_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     let Some(host) = sim.world.vm_host.get(&vm).copied() else {
         return;
     };

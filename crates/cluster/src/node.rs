@@ -4,7 +4,7 @@ use dvc_net::addr::{NicId, PhysAddr};
 use dvc_net::udp::UdpStack;
 use dvc_sim_core::SimTime;
 use dvc_time::clock::HwClock;
-use dvc_time::ntp::{Discipline, DisciplineConfig};
+use dvc_time::ntp::Discipline;
 use dvc_vmm::VmId;
 
 /// Physical node identifier (index into `ClusterWorld::nodes`).
@@ -21,9 +21,6 @@ pub struct Node {
     pub cluster: ClusterId,
     pub addr: PhysAddr,
     pub nic: NicId,
-    /// Peak double-precision rate used to convert workload flops to time.
-    pub cpu_gflops: f64,
-    pub mem_mb: u32,
     /// Drifting hardware clock; guests read this (time is not virtualized).
     pub clock: HwClock,
     /// The node's NTP client state.
@@ -47,24 +44,14 @@ pub struct Node {
 }
 
 impl Node {
-    pub fn new(
-        id: NodeId,
-        cluster: ClusterId,
-        addr: PhysAddr,
-        nic: NicId,
-        cpu_gflops: f64,
-        mem_mb: u32,
-        clock: HwClock,
-    ) -> Self {
+    pub fn new(id: NodeId, cluster: ClusterId, addr: PhysAddr, nic: NicId, clock: HwClock) -> Self {
         Node {
             id,
             cluster,
             addr,
             nic,
-            cpu_gflops,
-            mem_mb,
             clock,
-            ntp: Discipline::new(DisciplineConfig::default()),
+            ntp: Discipline::new(),
             ntp_last_sync: None,
             up: true,
             load: 0.0,
@@ -72,12 +59,6 @@ impl Node {
             host_udp: UdpStack::new(addr.into()),
             crashes: 0,
         }
-    }
-
-    /// Free memory after accounting for hosted domains' footprints is
-    /// tracked by the world (it owns the VMs); the node only knows count.
-    pub fn domain_count(&self) -> usize {
-        self.domains.len()
     }
 }
 
@@ -107,12 +88,10 @@ mod tests {
             ClusterId(0),
             PhysAddr(3),
             NicId(3),
-            8.0,
-            4096,
             HwClock::perfect(),
         );
         assert!(n.up);
-        assert_eq!(n.domain_count(), 0);
+        assert_eq!(n.domains.len(), 0);
         assert_eq!(n.load, 0.0);
         assert!(format!("{n:?}").contains("Node"));
     }

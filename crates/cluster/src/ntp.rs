@@ -16,9 +16,9 @@ use dvc_sim_core::{Event, FaultEvent, NtpEvent, Sim, SimDuration};
 use dvc_time::ntp::{offset_delay, NtpSample};
 
 /// Well-known server port.
-pub const NTP_PORT: u16 = 123;
+pub(crate) const NTP_PORT: u16 = 123;
 /// Client reply port.
-pub const NTP_CLIENT_PORT: u16 = 1123;
+pub(crate) const NTP_CLIENT_PORT: u16 = 1123;
 
 /// Server processing time between receive (t2) and transmit (t3).
 const SERVER_PROC_NS: i64 = 10_000;
@@ -75,7 +75,7 @@ fn schedule_poll(
 }
 
 /// Send one client request (no-op while the node is down).
-pub fn poll_once(sim: &mut Sim<ClusterWorld>, node: NodeId) {
+pub(crate) fn poll_once(sim: &mut Sim<ClusterWorld>, node: NodeId) {
     if !sim.world.node(node).up {
         return;
     }
@@ -101,7 +101,7 @@ pub fn poll_once(sim: &mut Sim<ClusterWorld>, node: NodeId) {
 }
 
 /// Host-UDP dispatch hook: handle any queued NTP traffic on `node`.
-pub fn dispatch_host_udp(sim: &mut Sim<ClusterWorld>, node: NodeId) {
+pub(crate) fn dispatch_host_udp(sim: &mut Sim<ClusterWorld>, node: NodeId) {
     // Server side.
     if node == sim.world.head {
         let outage = sim
@@ -172,17 +172,6 @@ pub fn sync_age(sim: &Sim<ClusterWorld>, node: NodeId) -> Option<SimDuration> {
         .node(node)
         .ntp_last_sync
         .map(|t| sim.now().since(t))
-}
-
-/// Worst absolute clock error vs. true time across all up nodes, ns.
-pub fn worst_clock_error_ns(sim: &Sim<ClusterWorld>) -> f64 {
-    let now = sim.now();
-    sim.world
-        .nodes
-        .iter()
-        .filter(|n| n.up)
-        .map(|n| n.clock.error_ns(now).abs())
-        .fold(0.0, f64::max)
 }
 
 /// Worst pairwise clock offset between up nodes, ns (what LSC skew sees).

@@ -109,7 +109,7 @@ impl ResourceManager {
 
     /// Called when a node crashes: running jobs that used it fail, and are
     /// appended to [`Self::failed_by_node_loss`] in ascending id order.
-    pub fn note_node_down(&mut self, node: NodeId) {
+    pub(crate) fn note_node_down(&mut self, node: NodeId) {
         self.busy.remove(&node);
         let mut victims: Vec<JobId> = self
             .jobs
@@ -129,7 +129,7 @@ impl ResourceManager {
         }
     }
 
-    pub fn note_node_up(&mut self, _node: NodeId) {
+    pub(crate) fn note_node_up(&mut self, _node: NodeId) {
         // Nothing to do eagerly; the next try_schedule will see it free.
     }
 }
@@ -217,7 +217,7 @@ fn allocate(world: &ClusterWorld, spec: &JobSpec) -> Option<Vec<NodeId>> {
 }
 
 /// Scheduling pass: FIFO head first; EASY backfill behind a blocked head.
-pub fn try_schedule(sim: &mut Sim<ClusterWorld>) {
+pub(crate) fn try_schedule(sim: &mut Sim<ClusterWorld>) {
     loop {
         let Some(&head) = sim.world.rm.queue.front() else {
             return;

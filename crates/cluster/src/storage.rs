@@ -167,7 +167,7 @@ pub fn note_bytes(sim: &mut Sim<ClusterWorld>, bytes: u64) {
 /// Change the brownout bandwidth factor, correctly advancing in-flight
 /// transfers first so their progress under the old rate is banked before
 /// future progress accrues at the new one.
-pub fn set_rate_factor(sim: &mut Sim<ClusterWorld>, factor: f64) {
+pub(crate) fn set_rate_factor(sim: &mut Sim<ClusterWorld>, factor: f64) {
     advance(sim);
     sim.world.storage.rate_factor = factor;
     reschedule(sim);
@@ -177,7 +177,7 @@ pub fn set_rate_factor(sim: &mut Sim<ClusterWorld>, factor: f64) {
 /// fault plan's `storage.fail` probability is rolled and the callback learns
 /// whether the bytes actually made it. (The time is spent either way — a
 /// failed write still occupied the array until the error surfaced.)
-pub fn start_transfer_checked(
+pub(crate) fn start_transfer_checked(
     sim: &mut Sim<ClusterWorld>,
     bytes: u64,
     cb: impl FnOnce(&mut Sim<ClusterWorld>, bool) + 'static,
@@ -197,23 +197,19 @@ pub fn start_transfer_checked(
     })
 }
 
+/// First retry backoff, seconds; doubles per failed attempt.
+const BASE_BACKOFF_S: f64 = 0.5;
+
 /// A checked transfer with bounded retry and exponential backoff: up to
-/// `cfg.storage_retry.max_attempts` attempts, sleeping `base_backoff_s · 2ᵏ`
+/// `cfg.storage_retry.max_attempts` attempts, sleeping `BASE_BACKOFF_S · 2ᵏ`
 /// between them. `cb` receives the final outcome.
 pub fn transfer_with_retry(
     sim: &mut Sim<ClusterWorld>,
     bytes: u64,
     cb: impl FnOnce(&mut Sim<ClusterWorld>, bool) + 'static,
 ) {
-    let retry = sim.world.cfg.storage_retry;
-    attempt_transfer(
-        sim,
-        bytes,
-        1,
-        retry.max_attempts.max(1),
-        retry.base_backoff_s,
-        Box::new(cb),
-    );
+    let max_attempts = sim.world.cfg.storage_retry.max_attempts.max(1);
+    attempt_transfer(sim, bytes, 1, max_attempts, Box::new(cb));
 }
 
 type RetryCb = Box<dyn FnOnce(&mut Sim<ClusterWorld>, bool)>;
@@ -223,7 +219,6 @@ fn attempt_transfer(
     bytes: u64,
     attempt: u32,
     max_attempts: u32,
-    base_backoff_s: f64,
     cb: RetryCb,
 ) {
     start_transfer_checked(sim, bytes, move |sim, ok| {
@@ -233,7 +228,7 @@ fn attempt_transfer(
         }
         sim.world.storage.retries += 1;
         let backoff =
-            SimDuration::from_secs_f64(base_backoff_s * f64::from(1u32 << (attempt - 1).min(10)));
+            SimDuration::from_secs_f64(BASE_BACKOFF_S * f64::from(1u32 << (attempt - 1).min(10)));
         sim.emit(Event::Storage(StorageEvent::TransferRetry {
             attempt,
             max_attempts,
@@ -241,7 +236,7 @@ fn attempt_transfer(
             backoff,
         }));
         sim.schedule_in(backoff, move |sim| {
-            attempt_transfer(sim, bytes, attempt + 1, max_attempts, base_backoff_s, cb);
+            attempt_transfer(sim, bytes, attempt + 1, max_attempts, cb);
         });
     });
 }

@@ -15,17 +15,12 @@ use dvc_vmm::{OverheadProfile, Vm, VmId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Control-channel latency model (see `control.rs` for semantics).
+/// Control-channel latency model (see `control.rs` for semantics and the
+/// fixed parameters).
 #[derive(Clone, Copy, Debug)]
 pub struct ControlCfg {
-    /// Log-normal μ/σ of a terminal-connection *open* (seconds).
-    pub open_mu: f64,
-    pub open_sigma: f64,
-    /// Log-normal μ/σ of command dispatch + remote service (seconds).
+    /// Log-normal μ of command dispatch + remote service (seconds).
     pub cmd_mu: f64,
-    pub cmd_sigma: f64,
-    /// Fixed floor added to every control exchange (seconds).
-    pub base_latency_s: f64,
 }
 
 /// Bounded-retry policy for shared-storage transfers (the hardened
@@ -34,33 +29,24 @@ pub struct ControlCfg {
 pub struct StorageRetryCfg {
     /// Total attempts per transfer (1 = no retry, the unhardened baseline).
     pub max_attempts: u32,
-    /// First backoff delay, seconds; doubles per failed attempt.
-    pub base_backoff_s: f64,
 }
 
 impl Default for StorageRetryCfg {
     fn default() -> Self {
-        StorageRetryCfg {
-            max_attempts: 4,
-            base_backoff_s: 0.5,
-        }
+        StorageRetryCfg { max_attempts: 4 }
     }
 }
 
 impl Default for ControlCfg {
     fn default() -> Self {
-        // Calibrated so serialized terminal fan-out reproduces the paper's
-        // naive-LSC failure curve (DESIGN.md §2): e^0.55 ≈ 0.58 s median
-        // per-connection open, heavy upper tail.
         ControlCfg {
-            open_mu: (0.55f64).ln(),
-            open_sigma: 0.55,
             cmd_mu: (0.35f64).ln(),
-            cmd_sigma: 0.45,
-            base_latency_s: 0.02,
         }
     }
 }
+
+/// Oscillator drift σ of a node's hardware clock, ppm.
+const CLOCK_DRIFT_SIGMA_PPM: f64 = 30.0;
 
 /// World-wide configuration knobs.
 #[derive(Clone, Copy, Debug)]
@@ -68,21 +54,10 @@ pub struct WorldConfig {
     pub guest_tcp: TcpConfig,
     /// Guest watchdog period, ns.
     pub watchdog_period_ns: i64,
-    pub default_vm_mem_mb: u32,
     pub vm_overhead: OverheadProfile,
     pub ctrl: ControlCfg,
     /// Boot-time clock offsets are uniform in ±this many ms.
     pub clock_max_offset_ms: f64,
-    /// Oscillator drift σ, ppm.
-    pub clock_drift_sigma_ppm: f64,
-    pub node_gflops: f64,
-    pub node_mem_mb: u32,
-    /// Native per-packet guest ingress processing cost, ns. The guest pays
-    /// `net_pkt_base_ns × net_factor` of serialized processing per packet;
-    /// when that exceeds the wire's per-packet serialization (~12 µs for a
-    /// full GigE frame), receive processing becomes the bottleneck — the
-    /// Xen-era "DomU can't saturate GigE" effect.
-    pub net_pkt_base_ns: u64,
     /// Retry policy for checkpoint storage transfers.
     pub storage_retry: StorageRetryCfg,
 }
@@ -106,14 +81,9 @@ impl Default for WorldConfig {
         WorldConfig {
             guest_tcp: TcpConfig::default(),
             watchdog_period_ns: 30_000_000_000,
-            default_vm_mem_mb: 256,
             vm_overhead: OverheadProfile::PARAVIRT,
             ctrl: ControlCfg::default(),
             clock_max_offset_ms: 250.0,
-            clock_drift_sigma_ppm: 30.0,
-            node_gflops: 8.0, // 2007-era dual-core node
-            node_mem_mb: 4096,
-            net_pkt_base_ns: 6_000,
             storage_retry: StorageRetryCfg::default(),
         }
     }
@@ -202,7 +172,7 @@ impl ClusterWorld {
         &mut self.arms[i]
     }
 
-    pub fn alloc_vaddr(&mut self) -> VirtAddr {
+    pub(crate) fn alloc_vaddr(&mut self) -> VirtAddr {
         let a = VirtAddr(self.next_vaddr);
         self.next_vaddr += 1;
         a
@@ -216,15 +186,6 @@ impl ClusterWorld {
     /// Nodes of one cluster.
     pub fn cluster_nodes(&self, c: ClusterId) -> &[NodeId] {
         &self.clusters[c.0 as usize].nodes
-    }
-
-    /// Count of live (placed, not Dead) domains.
-    pub fn live_vm_count(&self) -> usize {
-        self.vms
-            .iter()
-            .flatten()
-            .filter(|v| !matches!(v.state, dvc_vmm::VmState::Dead))
-            .count()
     }
 }
 
@@ -243,8 +204,6 @@ impl NetWorld for ClusterWorld {
 pub struct ClusterBuilder {
     n_clusters: usize,
     nodes_per_cluster: usize,
-    lan: LinkParams,
-    wan: LinkParams,
     storage_agg_bps: f64,
     storage_stream_bps: f64,
     cfg: WorldConfig,
@@ -262,8 +221,6 @@ impl ClusterBuilder {
         ClusterBuilder {
             n_clusters: 1,
             nodes_per_cluster: 4,
-            lan: LinkParams::gige_lan(),
-            wan: LinkParams::campus_wan(),
             storage_agg_bps: 400.0e6,
             storage_stream_bps: 110.0e6,
             cfg: WorldConfig::default(),
@@ -281,24 +238,9 @@ impl ClusterBuilder {
         self
     }
 
-    pub fn lan(mut self, p: LinkParams) -> Self {
-        self.lan = p;
-        self
-    }
-
-    pub fn wan(mut self, p: LinkParams) -> Self {
-        self.wan = p;
-        self
-    }
-
     pub fn storage(mut self, agg_bps: f64, stream_bps: f64) -> Self {
         self.storage_agg_bps = agg_bps;
         self.storage_stream_bps = stream_bps;
-        self
-    }
-
-    pub fn config(mut self, cfg: WorldConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 
@@ -324,7 +266,7 @@ impl ClusterBuilder {
             switches.push(fabric.add_switch());
         }
         for c in 1..self.n_clusters {
-            fabric.connect_switches(switches[0], switches[c], self.wan);
+            fabric.connect_switches(switches[0], switches[c], LinkParams::campus_wan());
         }
 
         for (c, &cluster_switch) in switches.iter().enumerate().take(self.n_clusters) {
@@ -332,7 +274,7 @@ impl ClusterBuilder {
             for _ in 0..self.nodes_per_cluster {
                 let id = NodeId(nodes.len() as u32);
                 let addr = PhysAddr(id.0);
-                let nic = fabric.add_nic(cluster_switch, self.lan);
+                let nic = fabric.add_nic(cluster_switch, LinkParams::gige_lan());
                 fabric.bind(addr.into(), nic);
                 let clock = if self.perfect_clocks {
                     HwClock::perfect()
@@ -340,18 +282,10 @@ impl ClusterBuilder {
                     HwClock::random(
                         &mut rng,
                         self.cfg.clock_max_offset_ms,
-                        self.cfg.clock_drift_sigma_ppm,
+                        CLOCK_DRIFT_SIGMA_PPM,
                     )
                 };
-                nodes.push(Node::new(
-                    id,
-                    ClusterId(c as u32),
-                    addr,
-                    nic,
-                    self.cfg.node_gflops,
-                    self.cfg.node_mem_mb,
-                    clock,
-                ));
+                nodes.push(Node::new(id, ClusterId(c as u32), addr, nic, clock));
                 members.push(id);
             }
             clusters.push(ClusterInfo {

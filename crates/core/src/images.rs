@@ -42,13 +42,13 @@ impl ImageManager {
     }
 
     /// Does `node` need a transfer to run `image` at its current version?
-    pub fn needs_staging(&self, node: NodeId, image: ImageId) -> bool {
+    pub(crate) fn needs_staging(&self, node: NodeId, image: ImageId) -> bool {
         let want = self.version(image);
         self.staged.get(&(node, image)) != Some(&want)
     }
 
     /// Record a completed staging.
-    pub fn note_staged(&mut self, node: NodeId, image: ImageId) {
+    pub(crate) fn note_staged(&mut self, node: NodeId, image: ImageId) {
         let v = self.version(image);
         self.staged.insert((node, image), v);
     }

@@ -127,7 +127,7 @@ impl LscMethod {
 
     /// Hardened-family coordinators verify image checksums, re-save corrupt
     /// images, and never leave a partially-paused VC behind.
-    pub fn is_hardened(&self) -> bool {
+    pub(crate) fn is_hardened(&self) -> bool {
         matches!(
             self,
             LscMethod::Hardened { .. } | LscMethod::HardenedNaive { .. }

@@ -61,20 +61,6 @@ impl Policy {
         }
     }
 
-    pub fn young(mtbf: SimDuration) -> Self {
-        Policy {
-            cadence: Cadence::Young {
-                mtbf,
-                initial: SimDuration::from_secs(300),
-            },
-            method: LscMethod::ntp_default(),
-            max_restores: 16,
-            scan_every: SimDuration::from_secs(5),
-            degrade_on_stale_sync: None,
-            restore_fallback: false,
-        }
-    }
-
     /// The full failure-aware pipeline: hardened coordination, degradation
     /// to clock-free mode on stale NTP sync, and intact-generation
     /// fallback restores.
@@ -91,7 +77,7 @@ impl Policy {
 }
 
 /// Young's optimal checkpoint interval √(2·C·M).
-pub fn young_interval(ckpt_cost: SimDuration, mtbf: SimDuration) -> SimDuration {
+pub(crate) fn young_interval(ckpt_cost: SimDuration, mtbf: SimDuration) -> SimDuration {
     SimDuration::from_secs_f64((2.0 * ckpt_cost.as_secs_f64() * mtbf.as_secs_f64()).sqrt())
 }
 

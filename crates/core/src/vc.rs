@@ -126,7 +126,7 @@ pub fn vc(sim: &Sim<ClusterWorld>, id: VcId) -> Option<&VirtualCluster> {
     sim.world.ext.get::<VcRegistry>()?.vcs.get(&id)
 }
 
-pub fn vc_mut(sim: &mut Sim<ClusterWorld>, id: VcId) -> Option<&mut VirtualCluster> {
+pub(crate) fn vc_mut(sim: &mut Sim<ClusterWorld>, id: VcId) -> Option<&mut VirtualCluster> {
     sim.world.ext.get_mut::<VcRegistry>()?.vcs.get_mut(&id)
 }
 
@@ -160,12 +160,12 @@ pub struct CheckpointStore {
 }
 
 impl CheckpointStore {
-    pub fn alloc_id(&mut self) -> u64 {
+    pub(crate) fn alloc_id(&mut self) -> u64 {
         self.next += 1;
         self.next
     }
 
-    pub fn latest_for(&self, vc: VcId) -> Option<&CheckpointSet> {
+    pub(crate) fn latest_for(&self, vc: VcId) -> Option<&CheckpointSet> {
         self.sets.iter().rev().find(|s| s.vc == vc)
     }
 

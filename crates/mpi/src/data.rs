@@ -32,7 +32,7 @@ impl Value {
 
     /// Append the wire encoding ([`Value::wire_len`] bytes) to `b`, e.g.
     /// straight after a frame header. Vectors are written in one pass.
-    pub fn encode_into(&self, b: &mut BytesMut) {
+    pub(crate) fn encode_into(&self, b: &mut BytesMut) {
         match self {
             Value::F64(x) => {
                 b.put_u8(0);
@@ -80,21 +80,21 @@ impl Value {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Value::F64(x) => Some(*x),
             _ => None,
         }
     }
 
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Value::U64(x) => Some(*x),
             _ => None,
         }
     }
 
-    pub fn as_f64_vec(&self) -> Option<&Vec<f64>> {
+    pub(crate) fn as_f64_vec(&self) -> Option<&Vec<f64>> {
         match self {
             Value::F64Vec(v) => Some(v),
             _ => None,

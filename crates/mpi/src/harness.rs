@@ -13,6 +13,10 @@ use dvc_cluster::world::ClusterWorld;
 use dvc_sim_core::{Event, MpiEvent, Sim, SimTime};
 use dvc_vmm::VmId;
 
+/// Peak double-precision rate of every node (a 2007-era dual-core node),
+/// used to convert workload flops to time.
+const NODE_GFLOPS: f64 = 8.0;
+
 /// A launched MPI job.
 #[derive(Clone, Debug)]
 pub struct MpiJob {
@@ -30,30 +34,8 @@ pub fn launch(
     mem_mb: u32,
     program: impl Fn(usize, usize) -> (Vec<Op>, RankData),
 ) -> MpiJob {
-    assert!(!nodes.is_empty());
-    // Pass 1: create the VMs so every rank's address is known.
-    let mut vms = Vec::with_capacity(n_ranks);
-    for i in 0..n_ranks {
-        let node = nodes[i % nodes.len()];
-        let vm = create_vm(sim, node, mem_mb, 1);
-        vms.push(vm);
-    }
-    let map: Vec<dvc_net::Addr> = vms
-        .iter()
-        .map(|&vm| sim.world.vm(vm).unwrap().guest.addr)
-        .collect();
-    // Pass 2: spawn the rank runtimes.
-    for (rank, &vm) in vms.iter().enumerate() {
-        let node = sim.world.vm_host[&vm];
-        let gflops = sim.world.node(node).cpu_gflops;
-        let (ops, data) = program(rank, n_ranks);
-        let rt = MpiRuntime::new(rank, n_ranks, map.clone(), gflops, ops, data);
-        spawn_proc(sim, vm, format!("rank{rank}"), Box::new(rt));
-    }
-    sim.emit(Event::Mpi(MpiEvent::JobLaunched {
-        ranks: n_ranks as u32,
-    }));
-    MpiJob { vms, size: n_ranks }
+    let vms = place_vms(sim, nodes, n_ranks, mem_mb);
+    launch_ranks(sim, vms, program, None)
 }
 
 /// Start `program(rank, size)` on an *existing* set of VMs (one rank per
@@ -64,29 +46,11 @@ pub fn launch_on_vms(
     vms: &[VmId],
     program: impl Fn(usize, usize) -> (Vec<Op>, RankData),
 ) -> MpiJob {
-    let n_ranks = vms.len();
-    let map: Vec<dvc_net::Addr> = vms
-        .iter()
-        .map(|&vm| sim.world.vm(vm).expect("vm exists").guest.addr)
-        .collect();
-    for (rank, &vm) in vms.iter().enumerate() {
-        let node = sim.world.vm_host[&vm];
-        let gflops = sim.world.node(node).cpu_gflops;
-        let (ops, data) = program(rank, n_ranks);
-        let rt = MpiRuntime::new(rank, n_ranks, map.clone(), gflops, ops, data);
-        spawn_proc(sim, vm, format!("rank{rank}"), Box::new(rt));
-    }
-    sim.emit(Event::Mpi(MpiEvent::JobLaunched {
-        ranks: n_ranks as u32,
-    }));
-    MpiJob {
-        vms: vms.to_vec(),
-        size: n_ranks,
-    }
+    launch_ranks(sim, vms.to_vec(), program, None)
 }
 
 /// Like [`launch`], but with a sparse connectivity hint: `hint(rank, size)`
-/// names the only peers each rank talks to (e.g. ring neighbours), avoiding
+/// names the only peers each rank talks to (e.g. [`ring_hint`]), avoiding
 /// a full mesh on very large jobs.
 pub fn launch_hinted(
     sim: &mut Sim<ClusterWorld>,
@@ -94,25 +58,45 @@ pub fn launch_hinted(
     n_ranks: usize,
     mem_mb: u32,
     program: impl Fn(usize, usize) -> (Vec<Op>, RankData),
-    hint: impl Fn(usize, usize) -> Vec<usize>,
+    hint: fn(usize, usize) -> Vec<usize>,
 ) -> MpiJob {
+    let vms = place_vms(sim, nodes, n_ranks, mem_mb);
+    launch_ranks(sim, vms, program, Some(hint))
+}
+
+/// Create `n_ranks` single-vCPU VMs, round-robin over `nodes`.
+fn place_vms(
+    sim: &mut Sim<ClusterWorld>,
+    nodes: &[NodeId],
+    n_ranks: usize,
+    mem_mb: u32,
+) -> Vec<VmId> {
     assert!(!nodes.is_empty());
-    let mut vms = Vec::with_capacity(n_ranks);
-    for i in 0..n_ranks {
-        let node = nodes[i % nodes.len()];
-        let vm = create_vm(sim, node, mem_mb, 1);
-        vms.push(vm);
-    }
+    (0..n_ranks)
+        .map(|i| create_vm(sim, nodes[i % nodes.len()], mem_mb, 1))
+        .collect()
+}
+
+/// The one rank-spawn loop: rank `i` runs `program(i, size)` on `vms[i]`,
+/// addressing its peers through the VMs' virtual addresses. With a `hint`,
+/// each rank connects only to the peers `hint(rank, size)` names.
+pub fn launch_ranks(
+    sim: &mut Sim<ClusterWorld>,
+    vms: Vec<VmId>,
+    program: impl Fn(usize, usize) -> (Vec<Op>, RankData),
+    hint: Option<fn(usize, usize) -> Vec<usize>>,
+) -> MpiJob {
+    let n_ranks = vms.len();
     let map: Vec<dvc_net::Addr> = vms
         .iter()
-        .map(|&vm| sim.world.vm(vm).unwrap().guest.addr)
+        .map(|&vm| sim.world.vm(vm).expect("vm exists").guest.addr)
         .collect();
     for (rank, &vm) in vms.iter().enumerate() {
-        let node = sim.world.vm_host[&vm];
-        let gflops = sim.world.node(node).cpu_gflops;
         let (ops, data) = program(rank, n_ranks);
-        let rt = MpiRuntime::new(rank, n_ranks, map.clone(), gflops, ops, data)
-            .with_peer_hint(hint(rank, n_ranks));
+        let mut rt = MpiRuntime::new(rank, n_ranks, map.clone(), NODE_GFLOPS, ops, data);
+        if let Some(hint) = hint {
+            rt = rt.with_peer_hint(hint(rank, n_ranks));
+        }
         spawn_proc(sim, vm, format!("rank{rank}"), Box::new(rt));
     }
     sim.emit(Event::Mpi(MpiEvent::JobLaunched {
@@ -173,24 +157,23 @@ pub fn run_job(
     job: &MpiJob,
     horizon: SimTime,
 ) -> Result<SimTime, String> {
-    loop {
-        if all_done(sim, job) {
-            return Ok(sim.now());
-        }
-        if let Some((r, e)) = first_failure(sim, job) {
-            return Err(format!("rank {r}: {e}"));
-        }
-        if sim.now() > horizon {
-            return Err(format!(
-                "horizon exceeded at {} (remaining ops: {:?})",
-                sim.now(),
-                (0..job.size)
-                    .map(|r| rank(sim, job, r).remaining_ops())
-                    .collect::<Vec<_>>()
-            ));
-        }
-        if !sim.step() {
-            return Err("event queue drained before completion".into());
-        }
+    sim.run_until(horizon, |sim| {
+        all_done(sim, job) || first_failure(sim, job).is_some()
+    });
+    if all_done(sim, job) {
+        return Ok(sim.now());
     }
+    if let Some((r, e)) = first_failure(sim, job) {
+        return Err(format!("rank {r}: {e}"));
+    }
+    if sim.now() > horizon {
+        return Err(format!(
+            "horizon exceeded at {} (remaining ops: {:?})",
+            sim.now(),
+            (0..job.size)
+                .map(|r| rank(sim, job, r).remaining_ops())
+                .collect::<Vec<_>>()
+        ));
+    }
+    Err("event queue drained before completion".into())
 }

@@ -32,4 +32,4 @@ pub mod runtime;
 
 pub use data::{RankData, Value};
 pub use ops::Op;
-pub use runtime::{MpiRuntime, RankMap, MPI_PORT};
+pub use runtime::{MpiRuntime, RankMap};

@@ -8,9 +8,6 @@
 
 use crate::data::RankData;
 
-/// Reduction operator applied pairwise (into the left operand).
-pub type ReduceFn = fn(&mut crate::data::Value, &crate::data::Value);
-
 /// A dynamic program generator: `(data, rank, size) -> ops` pushed to the
 /// *front* of the script, preserving program order.
 pub type GenFn = fn(&mut RankData, usize, usize) -> Vec<Op>;
@@ -62,14 +59,10 @@ impl Op {
             into: into.into(),
         }
     }
-
-    pub fn compute_flops(flops: f64) -> Op {
-        Op::Compute { flops }
-    }
 }
 
 /// Push `ops` onto the front of `script`, preserving their order.
-pub fn push_front(script: &mut std::collections::VecDeque<Op>, ops: Vec<Op>) {
+pub(crate) fn push_front(script: &mut std::collections::VecDeque<Op>, ops: Vec<Op>) {
     for op in ops.into_iter().rev() {
         script.push_front(op);
     }

@@ -16,10 +16,11 @@ use dvc_net::tcp::{LocalNs, SockId, TcpState};
 use dvc_net::{Addr, ByteQueue};
 use dvc_sim_core::{FastMap, SimDuration};
 use dvc_vmm::guest::{GuestCtx, GuestProc, ProcPoll};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// The port every rank's runtime listens on (one rank per VM).
-pub const MPI_PORT: u16 = 6000;
+pub(crate) const MPI_PORT: u16 = 6000;
 
 /// Frame tag reserved for connection hellos.
 const HELLO_TAG: u32 = u32::MAX;
@@ -85,6 +86,9 @@ pub struct MpiRuntime {
     peer_hint: Option<Vec<usize>>,
     /// Accepted sockets awaiting their HELLO frame.
     pending_accepts: Vec<(SockId, Vec<u8>)>,
+    /// Arrived messages by `(src, tag)`. A queue is dropped when a receive
+    /// drains it, so a snapshot never clones empty queues for tags long
+    /// done with; the map is only read by key, never iterated.
     inbox: FastMap<(usize, u32), VecDeque<Vec<u8>>>,
     script: VecDeque<Op>,
     pub data: RankData,
@@ -125,7 +129,7 @@ impl MpiRuntime {
     /// Restrict eager connection establishment to the given peer ranks
     /// (e.g. ring neighbours). Messages to ranks outside the hint are a
     /// programming error in lazy jobs.
-    pub fn with_peer_hint(mut self, peers: Vec<usize>) -> Self {
+    pub(crate) fn with_peer_hint(mut self, peers: Vec<usize>) -> Self {
         let mut p = peers;
         p.retain(|&r| r != self.rank && r < self.size);
         p.sort_unstable();
@@ -153,10 +157,6 @@ impl MpiRuntime {
         self.peers.entry(rank).or_default()
     }
 
-    pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
     pub fn failure(&self) -> Option<&str> {
         match &self.phase {
             Phase::Failed(e) => Some(e),
@@ -165,7 +165,7 @@ impl MpiRuntime {
     }
 
     /// Remaining ops (diagnostics).
-    pub fn remaining_ops(&self) -> usize {
+    pub(crate) fn remaining_ops(&self) -> usize {
         self.script.len()
     }
 
@@ -389,7 +389,16 @@ impl MpiRuntime {
                     }
                 }
                 Op::Recv { from, tag, into } => {
-                    let msg = self.inbox.get_mut(&(from, tag)).and_then(|q| q.pop_front());
+                    let msg = match self.inbox.entry((from, tag)) {
+                        Entry::Occupied(mut q) => {
+                            let msg = q.get_mut().pop_front();
+                            if q.get().is_empty() {
+                                q.remove();
+                            }
+                            msg
+                        }
+                        Entry::Vacant(_) => None,
+                    };
                     match msg {
                         Some(payload) => match Value::decode(&payload) {
                             Ok(v) => self.data.set(into, v),
@@ -744,5 +753,37 @@ mod tests {
             })
             .collect();
         assert_eq!(flushed, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn drained_inbox_queues_are_dropped() {
+        use crate::harness;
+        use dvc_cluster::world::ClusterBuilder;
+        use dvc_sim_core::{Sim, SimTime};
+
+        // A 4-rank ring that passes a token 30 laps, one tag per lap.
+        let mut sim = Sim::new(
+            ClusterBuilder::new()
+                .nodes_per_cluster(4)
+                .perfect_clocks()
+                .build(5),
+            5,
+        );
+        let nodes = sim.world.node_ids();
+        let job = harness::launch(&mut sim, &nodes, 4, 64, |rank, size| {
+            let mut data = RankData::new();
+            data.set("tok", Value::U64(0));
+            let (next, prev) = ((rank + 1) % size, (rank + size - 1) % size);
+            let ops = (0..30)
+                .flat_map(|lap| [Op::send(next, lap, "tok"), Op::recv(prev, lap, "tok")])
+                .collect();
+            (ops, data)
+        });
+        harness::run_job(&mut sim, &job, SimTime::from_secs(300)).expect("ring failed");
+        for r in 0..job.size {
+            let rt = harness::rank(&sim, &job, r);
+            assert_eq!(rt.stats.msgs_received, 30);
+            assert!(rt.inbox.is_empty(), "rank {r} holds {:?}", rt.inbox);
+        }
     }
 }

@@ -146,7 +146,7 @@ impl ByteQueue {
 
     /// Consume from the front into `out`, appending up to `max` bytes.
     /// One copy, straight from the chunks into the caller's buffer.
-    pub fn pop_into(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
+    pub(crate) fn pop_into(&mut self, out: &mut Vec<u8>, max: usize) -> usize {
         let mut left = max.min(self.len);
         let total = left;
         out.reserve(left);

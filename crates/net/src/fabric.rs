@@ -62,7 +62,7 @@ impl LinkParams {
     }
 
     /// Serialization time of `bytes` on this link.
-    pub fn ser_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn ser_time(&self, bytes: u64) -> SimDuration {
         SimDuration::for_transfer(bytes, self.bandwidth_bps)
     }
 }
@@ -170,7 +170,7 @@ impl Fabric {
         self.nics[nic.0 as usize].up
     }
 
-    pub fn nic_switch(&self, nic: NicId) -> SwitchId {
+    pub(crate) fn nic_switch(&self, nic: NicId) -> SwitchId {
         self.nics[nic.0 as usize].switch
     }
 

@@ -13,11 +13,11 @@ use bytes::Bytes;
 use std::fmt;
 
 /// Ethernet (incl. preamble + FCS + IFG) + IPv4 header bytes charged per packet.
-pub const ETH_IP_OVERHEAD: u64 = 38 + 20;
+pub(crate) const ETH_IP_OVERHEAD: u64 = 38 + 20;
 /// TCP header bytes (no options modelled).
-pub const TCP_HEADER: u64 = 20;
+pub(crate) const TCP_HEADER: u64 = 20;
 /// UDP header bytes.
-pub const UDP_HEADER: u64 = 8;
+pub(crate) const UDP_HEADER: u64 = 8;
 
 /// TCP flag bits.
 #[derive(Clone, Copy, Default, PartialEq, Eq)]
@@ -29,13 +29,13 @@ pub struct TcpFlags {
 }
 
 impl TcpFlags {
-    pub const SYN: TcpFlags = TcpFlags {
+    pub(crate) const SYN: TcpFlags = TcpFlags {
         syn: true,
         ack: false,
         fin: false,
         rst: false,
     };
-    pub const SYN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const SYN_ACK: TcpFlags = TcpFlags {
         syn: true,
         ack: true,
         fin: false,
@@ -47,7 +47,7 @@ impl TcpFlags {
         fin: false,
         rst: false,
     };
-    pub const FIN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const FIN_ACK: TcpFlags = TcpFlags {
         syn: false,
         ack: true,
         fin: true,
@@ -98,7 +98,7 @@ pub struct TcpSegment {
 
 impl TcpSegment {
     /// Sequence space consumed by this segment (payload + SYN/FIN).
-    pub fn seq_len(&self) -> u32 {
+    pub(crate) fn seq_len(&self) -> u32 {
         self.payload.len() as u32
             + if self.flags.syn { 1 } else { 0 }
             + if self.flags.fin { 1 } else { 0 }
@@ -158,7 +158,7 @@ pub struct Packet {
 
 impl Packet {
     /// Total bytes this packet occupies on a wire.
-    pub fn wire_size(&self) -> u64 {
+    pub(crate) fn wire_size(&self) -> u64 {
         match &self.l4 {
             L4::Tcp(s) => ETH_IP_OVERHEAD + TCP_HEADER + s.payload.len() as u64,
             L4::Udp(d) => ETH_IP_OVERHEAD + UDP_HEADER + d.payload.len() as u64,

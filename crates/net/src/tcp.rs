@@ -14,7 +14,7 @@
 //!   application to crash" failure mode of the paper;
 //! * fast retransmit on three duplicate ACKs;
 //! * flow control by advertised window, with bounded zero-window probing;
-//! * slow-start / AIMD congestion control (can be disabled per stack);
+//! * slow-start / AIMD congestion control;
 //! * orderly FIN teardown with TIME-WAIT, and RST handling throughout.
 //!
 //! **Design for checkpointing.** The stack is a plain `Clone` value and all
@@ -26,7 +26,8 @@
 //! fire immediately, producing the retransmit burst that repairs the cut.
 //!
 //! Not modelled (documented simplifications): Nagle, delayed ACK, window
-//! scaling (windows are plain u32 byte counts), SACK, simultaneous open.
+//! scaling (windows are plain u32 byte counts), SACK, simultaneous open,
+//! keepalive (no experiment leaves a connection idle long enough to need it).
 
 use crate::addr::Addr;
 use crate::bytequeue::ByteQueue;
@@ -43,21 +44,28 @@ pub type SockId = u32;
 
 /// Wrapping sequence-number comparisons.
 #[inline]
-pub fn seq_lt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) < 0
 }
 #[inline]
-pub fn seq_le(a: u32, b: u32) -> bool {
+pub(crate) fn seq_le(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) <= 0
 }
 #[inline]
-pub fn seq_gt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_gt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) > 0
 }
 #[inline]
-pub fn seq_ge(a: u32, b: u32) -> bool {
+pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) >= 0
 }
+
+/// Initial RTO before any RTT sample, ns.
+const RTO_INITIAL_NS: i64 = 1_000_000_000;
+/// Duplicate ACKs that trigger fast retransmit.
+const DUPACK_THRESHOLD: u32 = 3;
+/// TIME-WAIT linger, ns (real stacks: 2·MSL; shortened for simulation).
+const TIME_WAIT_NS: i64 = 1_000_000_000;
 
 /// Stack configuration.
 #[derive(Clone, Copy, Debug)]
@@ -68,8 +76,6 @@ pub struct TcpConfig {
     pub send_buf: usize,
     /// Receive buffer capacity per socket, bytes.
     pub recv_buf: usize,
-    /// Initial RTO before any RTT sample, ns.
-    pub rto_initial_ns: i64,
     /// RTO clamp floor, ns (Linux: 200 ms).
     pub rto_min_ns: i64,
     /// RTO clamp ceiling, ns.
@@ -80,20 +86,6 @@ pub struct TcpConfig {
     pub max_data_retries: u32,
     /// SYN retransmissions before an active open fails.
     pub max_syn_retries: u32,
-    /// Duplicate ACKs that trigger fast retransmit.
-    pub dupack_threshold: u32,
-    /// Enable slow start + AIMD. When off, cwnd is unbounded and only the
-    /// peer window limits flight (useful for deterministic tests).
-    pub congestion_control: bool,
-    /// TIME-WAIT linger, ns (real stacks: 2·MSL; shortened for simulation).
-    pub time_wait_ns: i64,
-    /// Keepalive: probe an idle established connection after this much
-    /// silence (None disables — the default, like most sockets).
-    pub keepalive_idle_ns: Option<i64>,
-    /// Interval between keepalive probes, ns.
-    pub keepalive_interval_ns: i64,
-    /// Unanswered keepalive probes before the connection aborts.
-    pub keepalive_retries: u32,
 }
 
 impl Default for TcpConfig {
@@ -102,17 +94,10 @@ impl Default for TcpConfig {
             mss: 1448,
             send_buf: 256 * 1024,
             recv_buf: 256 * 1024,
-            rto_initial_ns: 1_000_000_000,
             rto_min_ns: 200_000_000,
             rto_max_ns: 60_000_000_000,
             max_data_retries: 5,
             max_syn_retries: 5,
-            dupack_threshold: 3,
-            congestion_control: true,
-            time_wait_ns: 1_000_000_000,
-            keepalive_idle_ns: None,
-            keepalive_interval_ns: 5_000_000_000,
-            keepalive_retries: 3,
         }
     }
 }
@@ -184,7 +169,6 @@ pub enum TcpNote {
     /// A retransmission timer expired (one RTO backoff round).
     RtoFired,
     ZeroWindowProbe,
-    KeepaliveProbe,
     ConnAborted,
 }
 
@@ -197,7 +181,6 @@ impl TcpNote {
             TcpNote::FastRetransmit => TcpEvent::FastRetransmit { ep },
             TcpNote::RtoFired => TcpEvent::RtoFired { ep },
             TcpNote::ZeroWindowProbe => TcpEvent::ZeroWindowProbe { ep },
-            TcpNote::KeepaliveProbe => TcpEvent::KeepaliveProbe { ep },
             TcpNote::ConnAborted => TcpEvent::ConnAborted { ep },
         }
     }
@@ -231,7 +214,6 @@ pub struct TcpCounters {
     pub conns_aborted: u64,
     pub dup_segments: u64,
     pub zero_window_probes: u64,
-    pub keepalive_probes: u64,
 }
 
 type ConnKey = (u16, Addr, u16); // (local port, remote addr, remote port)
@@ -295,10 +277,6 @@ struct Socket {
     wnd_was_closed: bool,
 
     time_wait_deadline: Option<LocalNs>,
-    /// Keepalive bookkeeping (active only when the stack enables it).
-    last_activity: LocalNs,
-    ka_deadline: Option<LocalNs>,
-    ka_probes: u32,
     error: Option<TcpError>,
 }
 
@@ -332,9 +310,6 @@ impl Socket {
             peer_fin: false,
             wnd_was_closed: false,
             time_wait_deadline: None,
-            last_activity: 0,
-            ka_deadline: None,
-            ka_probes: 0,
             error: None,
         }
     }
@@ -402,14 +377,6 @@ impl TcpStack {
         std::mem::take(&mut self.notes)
     }
 
-    pub fn config(&self) -> &TcpConfig {
-        &self.cfg
-    }
-
-    pub fn local_addr(&self) -> Addr {
-        self.local_addr
-    }
-
     pub fn state(&self, sock: SockId) -> Option<TcpState> {
         self.sockets.get(&sock).map(|s| s.state)
     }
@@ -420,25 +387,6 @@ impl TcpStack {
 
     pub fn socket_count(&self) -> usize {
         self.sockets.len()
-    }
-
-    /// Debug/diagnostic view of a socket's sequence state:
-    /// (snd_una, snd_nxt, send_q, rcv_nxt, recv_q, ooo segments).
-    #[doc(hidden)]
-    #[allow(clippy::type_complexity)]
-    pub fn debug_seq_state(
-        &self,
-        sock: SockId,
-    ) -> Option<(u32, u32, usize, u32, usize, Vec<(u32, usize)>)> {
-        let s = self.sockets.get(&sock)?;
-        Some((
-            s.snd_una,
-            s.snd_nxt,
-            s.send_q.len(),
-            s.rcv_nxt,
-            s.recv_q.len(),
-            s.ooo.iter().map(|(k, v)| (*k, v.len())).collect(),
-        ))
     }
 
     fn alloc_sock(&mut self, s: Socket) -> SockId {
@@ -511,7 +459,7 @@ impl TcpStack {
         s.snd_nxt = isn.wrapping_add(1);
         s.snd_max = s.snd_nxt;
         s.cwnd = self.cfg.mss as f64 * 10.0; // IW10
-        s.rto_ns = self.cfg.rto_initial_ns;
+        s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
         let id = self.alloc_sock(s);
         self.conns.insert((port, remote, remote_port), id);
@@ -688,12 +636,7 @@ impl TcpStack {
     pub fn next_deadline(&self) -> Option<LocalNs> {
         self.sockets
             .values()
-            .flat_map(|s| {
-                s.rtx_deadline
-                    .into_iter()
-                    .chain(s.time_wait_deadline)
-                    .chain(s.ka_deadline)
-            })
+            .flat_map(|s| s.rtx_deadline.into_iter().chain(s.time_wait_deadline))
             .min()
     }
 
@@ -726,38 +669,6 @@ impl TcpStack {
                 self.on_rtx_expiry(now, id);
             }
         }
-        let Some(s) = self.sockets.get(&id) else {
-            return;
-        };
-        if let Some(d) = s.ka_deadline {
-            if d <= now {
-                self.on_keepalive_expiry(now, id);
-            }
-        }
-    }
-
-    /// Keepalive fired: probe (seq = snd_una − 1 elicits a bare ACK) or give
-    /// up after the configured probe budget.
-    fn on_keepalive_expiry(&mut self, now: LocalNs, sock: SockId) {
-        let cfg = self.cfg;
-        let Some(s) = self.sockets.get_mut(&sock) else {
-            return;
-        };
-        if !matches!(s.state, TcpState::Established | TcpState::CloseWait) {
-            s.ka_deadline = None;
-            return;
-        }
-        if s.ka_probes >= cfg.keepalive_retries {
-            s.ka_deadline = None;
-            self.abort_with(now, sock, TcpError::RetryTimeout);
-            return;
-        }
-        s.ka_probes += 1;
-        s.ka_deadline = Some(now + cfg.keepalive_interval_ns);
-        let seq = s.snd_una.wrapping_sub(1);
-        self.counters.keepalive_probes += 1;
-        push_note(&mut self.notes, TcpNote::KeepaliveProbe);
-        self.emit_segment(sock, seq, TcpFlags::ACK, Bytes::new());
     }
 
     fn on_rtx_expiry(&mut self, now: LocalNs, sock: SockId) {
@@ -814,10 +725,8 @@ impl TcpStack {
                 s.rtx_deadline = Some(now + s.rto_ns);
                 // Karn: never time a retransmitted range.
                 s.rtt_probe = None;
-                if cfg.congestion_control {
-                    s.ssthresh = (s.flight() as f64 / 2.0).max(2.0 * cfg.mss as f64);
-                    s.cwnd = cfg.mss as f64;
-                }
+                s.ssthresh = (s.flight() as f64 / 2.0).max(2.0 * cfg.mss as f64);
+                s.cwnd = cfg.mss as f64;
                 if s.probing {
                     self.counters.zero_window_probes += 1;
                     push_note(&mut self.notes, TcpNote::ZeroWindowProbe);
@@ -844,20 +753,6 @@ impl TcpStack {
             _ => {
                 // Spurious deadline in a state with nothing to do.
                 s.rtx_deadline = None;
-            }
-        }
-    }
-
-    /// Arm (or re-arm) the keepalive timer for an established socket.
-    fn arm_keepalive(&mut self, sock: SockId, now: LocalNs) {
-        let Some(idle) = self.cfg.keepalive_idle_ns else {
-            return;
-        };
-        if let Some(s) = self.sockets.get_mut(&sock) {
-            if matches!(s.state, TcpState::Established | TcpState::CloseWait) {
-                s.last_activity = now;
-                s.ka_probes = 0;
-                s.ka_deadline = Some(now + idle);
             }
         }
     }
@@ -976,11 +871,7 @@ impl TcpStack {
                 return;
             }
             let unsent = s.send_q.len() as u32 - s.flight().min(s.send_q.len() as u32);
-            let eff_wnd = if cfg.congestion_control {
-                (s.snd_wnd as f64).min(s.cwnd) as u32
-            } else {
-                s.snd_wnd
-            };
+            let eff_wnd = (s.snd_wnd as f64).min(s.cwnd) as u32;
             let room = eff_wnd.saturating_sub(s.flight());
 
             if unsent > 0 && room == 0 && s.snd_wnd == 0 && !s.probing {
@@ -1006,7 +897,7 @@ impl TcpStack {
                 }
                 if s.rtx_deadline.is_none() {
                     s.rto_ns = if s.rto_ns == 0 {
-                        cfg.rto_initial_ns
+                        RTO_INITIAL_NS
                     } else {
                         s.rto_ns
                     };
@@ -1026,7 +917,7 @@ impl TcpStack {
                 }
                 if s.rtx_deadline.is_none() {
                     s.rto_ns = if s.rto_ns == 0 {
-                        cfg.rto_initial_ns
+                        RTO_INITIAL_NS
                     } else {
                         s.rto_ns
                     };
@@ -1127,7 +1018,7 @@ impl TcpStack {
         s.snd_wnd = seg.wnd;
         s.cwnd = self.cfg.mss as f64 * 10.0;
         s.rcv_nxt = seg.seq.wrapping_add(1);
-        s.rto_ns = self.cfg.rto_initial_ns;
+        s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
         let id = self.alloc_sock(s);
         self.conns.insert((seg.dst_port, src, seg.src_port), id);
@@ -1135,21 +1026,9 @@ impl TcpStack {
     }
 
     fn on_conn_segment(&mut self, now: LocalNs, sock: SockId, _src: Addr, seg: TcpSegment) {
-        let cfg = self.cfg;
         let Some(s) = self.sockets.get_mut(&sock) else {
             return;
         };
-        // Any inbound traffic proves the peer is alive.
-        if cfg.keepalive_idle_ns.is_some() {
-            s.last_activity = now;
-            s.ka_probes = 0;
-            if let Some(idle) = cfg.keepalive_idle_ns {
-                if matches!(s.state, TcpState::Established | TcpState::CloseWait) {
-                    s.ka_deadline = Some(now + idle);
-                }
-            }
-        }
-
         // ---- RST ----
         if seg.flags.rst {
             // Acceptable if the seq is in window (we are lenient: any RST
@@ -1180,11 +1059,10 @@ impl TcpStack {
                     s.state = TcpState::Established;
                     s.retries = 0;
                     s.rtx_deadline = None;
-                    s.rto_ns = cfg.rto_initial_ns;
+                    s.rto_ns = RTO_INITIAL_NS;
                     let seq = s.snd_nxt;
                     self.emit_segment(sock, seq, TcpFlags::ACK, Bytes::new());
                     self.push_event(sock, SockEvent::Connected);
-                    self.arm_keepalive(sock, now);
                     self.pump(now, sock);
                 }
                 return;
@@ -1196,14 +1074,13 @@ impl TcpStack {
                     s.snd_una = seg.ack; // our SYN-ACK is acknowledged
                     s.retries = 0;
                     s.rtx_deadline = None;
-                    s.rto_ns = cfg.rto_initial_ns;
+                    s.rto_ns = RTO_INITIAL_NS;
                     let lport = s.local_port;
                     let listener = self.listeners.get(&lport).copied();
                     if let Some(listener) = listener {
                         self.accept_q.entry(listener).or_default().push_back(sock);
                         self.push_event(listener, SockEvent::Incoming(sock));
                     }
-                    self.arm_keepalive(sock, now);
                     // Fall through: the ACK may carry data.
                 } else if seg.flags.syn {
                     // Retransmitted SYN: re-send SYN-ACK.
@@ -1233,8 +1110,7 @@ impl TcpStack {
             return;
         }
 
-        // Out-of-window bare segments (keepalive probes, stale
-        // retransmissions of pure ACKs) elicit a fresh ACK so the sender
+        // Out-of-window bare segments (stale retransmissions of pure ACKs) elicit a fresh ACK so the sender
         // learns we are alive (RFC 793 "not acceptable ⇒ send an ACK").
         if seg.payload.is_empty() && !seg.flags.fin {
             let Some(s) = self.sockets.get(&sock) else {
@@ -1311,12 +1187,10 @@ impl TcpStack {
             }
 
             // Congestion control.
-            if cfg.congestion_control {
-                if s.cwnd < s.ssthresh {
-                    s.cwnd += newly_acked as f64; // slow start
-                } else {
-                    s.cwnd += (cfg.mss as f64) * (cfg.mss as f64) / s.cwnd; // CA
-                }
+            if s.cwnd < s.ssthresh {
+                s.cwnd += newly_acked as f64; // slow start
+            } else {
+                s.cwnd += (cfg.mss as f64) * (cfg.mss as f64) / s.cwnd; // CA
             }
 
             // FIN acked?
@@ -1328,7 +1202,7 @@ impl TcpStack {
                         }
                         TcpState::Closing => {
                             s.state = TcpState::TimeWait;
-                            s.time_wait_deadline = Some(now + cfg.time_wait_ns);
+                            s.time_wait_deadline = Some(now + TIME_WAIT_NS);
                             s.rtx_deadline = None;
                         }
                         TcpState::LastAck => {
@@ -1378,12 +1252,10 @@ impl TcpStack {
             }
             if seg.payload.is_empty() && s.flight() > 0 {
                 s.dup_acks += 1;
-                if s.dup_acks == cfg.dupack_threshold {
+                if s.dup_acks == DUPACK_THRESHOLD {
                     // Fast retransmit.
-                    if cfg.congestion_control {
-                        s.ssthresh = (s.flight() as f64 / 2.0).max(2.0 * cfg.mss as f64);
-                        s.cwnd = s.ssthresh + 3.0 * cfg.mss as f64;
-                    }
+                    s.ssthresh = (s.flight() as f64 / 2.0).max(2.0 * cfg.mss as f64);
+                    s.cwnd = s.ssthresh + 3.0 * cfg.mss as f64;
                     s.rtt_probe = None;
                     self.counters.fast_retransmits += 1;
                     push_note(&mut self.notes, TcpNote::FastRetransmit);
@@ -1483,7 +1355,7 @@ impl TcpStack {
                 }
                 TcpState::FinWait2 => {
                     s.state = TcpState::TimeWait;
-                    s.time_wait_deadline = Some(now + cfg.time_wait_ns);
+                    s.time_wait_deadline = Some(now + TIME_WAIT_NS);
                     s.rtx_deadline = None;
                 }
                 _ => {}

@@ -85,15 +85,6 @@ impl TestWorld {
     pub fn host_by_nic(&self, nic: NicId) -> Option<usize> {
         self.hosts.iter().position(|h| h.nic == nic)
     }
-
-    /// Count events of one kind on a host.
-    pub fn count_events(&self, host: usize, pred: fn(&SockEvent) -> bool) -> usize {
-        self.hosts[host]
-            .events
-            .iter()
-            .filter(|(_, e)| pred(e))
-            .count()
-    }
 }
 
 impl NetWorld for TestWorld {

@@ -21,7 +21,7 @@ pub struct UdpRecv {
 
 /// Per-port receive queue bound (datagrams); beyond this, drops (like a full
 /// socket buffer).
-pub const UDP_QUEUE_LIMIT: usize = 256;
+pub(crate) const UDP_QUEUE_LIMIT: usize = 256;
 
 /// A per-host (or per-guest) UDP endpoint table.
 #[derive(Clone, Debug)]
@@ -45,16 +45,6 @@ impl UdpStack {
         }
     }
 
-    pub fn local_addr(&self) -> Addr {
-        self.local_addr
-    }
-
-    /// Change the local address (used when re-homing is required; guests
-    /// normally never do this — their virtual address is stable).
-    pub fn set_local_addr(&mut self, addr: Addr) {
-        self.local_addr = addr;
-    }
-
     /// Bind a port. Re-binding an already-bound port is an error.
     pub fn bind(&mut self, port: u16) -> Result<(), &'static str> {
         if self.queues.contains_key(&port) {
@@ -66,10 +56,6 @@ impl UdpStack {
 
     pub fn unbind(&mut self, port: u16) {
         self.queues.remove(&port);
-    }
-
-    pub fn is_bound(&self, port: u16) -> bool {
-        self.queues.contains_key(&port)
     }
 
     /// Queue a datagram for transmission (drained by the host glue).

@@ -608,51 +608,6 @@ fn deterministic_across_runs() {
 }
 
 #[test]
-fn keepalive_detects_dead_peer_and_spares_live_idle_ones() {
-    let cfg = TcpConfig {
-        keepalive_idle_ns: Some(2_000_000_000), // 2 s idle
-        keepalive_interval_ns: 1_000_000_000,   // 1 s between probes
-        keepalive_retries: 3,
-        ..TcpConfig::default()
-    };
-    // Case 1: both peers alive but idle — keepalive must NOT kill the conn.
-    {
-        let mut sim = world(LinkParams::gige_lan(), cfg);
-        let (sa, _sb) = establish(&mut sim);
-        let msg = b"warmup";
-        let got = transfer(&mut sim, A, sa, B, 2, msg, secs(10.0));
-        assert_eq!(&got, msg);
-        // 60 s of pure idleness.
-        sim.run_until(secs(70.0), |sim| sim.now() > secs(65.0));
-        assert!(!any_failure(&sim, A) && !any_failure(&sim, B));
-        assert!(
-            sim.world.hosts[A].tcp.counters.keepalive_probes >= 10,
-            "probes: {}",
-            sim.world.hosts[A].tcp.counters.keepalive_probes
-        );
-    }
-    // Case 2: peer silently dies (paused forever) — keepalive reaps the
-    // idle connection in ~idle + retries × interval.
-    {
-        let mut sim = world(LinkParams::gige_lan(), cfg);
-        let (sa, sb) = establish(&mut sim);
-        let msg = b"warmup";
-        let got = transfer(&mut sim, A, sa, B, sb, msg, secs(10.0));
-        assert_eq!(&got, msg);
-        let t0 = sim.now();
-        pause(&mut sim, B); // dies idle: no data in flight, no rtx timer
-        let ok = sim.run_until(secs(120.0), |sim| any_failure(sim, A));
-        assert!(ok, "keepalive never reaped the dead-peer connection");
-        assert!(failed_with(&sim, A, TcpError::RetryTimeout));
-        let elapsed = (sim.now() - t0).as_secs_f64();
-        assert!(
-            (4.0..9.0).contains(&elapsed),
-            "reap after {elapsed:.1}s, expected ≈ 2 + 3×1 s"
-        );
-    }
-}
-
-#[test]
 fn simultaneous_close_reaches_closed_on_both_sides() {
     let mut sim = world(LinkParams::gige_lan(), TcpConfig::default());
     let (sa, sb) = establish(&mut sim);

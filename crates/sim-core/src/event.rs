@@ -67,9 +67,6 @@ pub enum TcpEvent {
     ZeroWindowProbe {
         ep: u32,
     },
-    KeepaliveProbe {
-        ep: u32,
-    },
     ConnAborted {
         ep: u32,
     },
@@ -238,7 +235,6 @@ impl Event {
                 TcpEvent::FastRetransmit { .. } => "tcp.fast_retransmit",
                 TcpEvent::RtoFired { .. } => "tcp.rto_fired",
                 TcpEvent::ZeroWindowProbe { .. } => "tcp.zero_window_probe",
-                TcpEvent::KeepaliveProbe { .. } => "tcp.keepalive_probe",
                 TcpEvent::ConnAborted { .. } => "tcp.conn_aborted",
             },
             Event::Vmm(e) => match e {
@@ -328,7 +324,6 @@ impl Event {
                 | TcpEvent::FastRetransmit { ep }
                 | TcpEvent::RtoFired { ep }
                 | TcpEvent::ZeroWindowProbe { ep }
-                | TcpEvent::KeepaliveProbe { ep }
                 | TcpEvent::ConnAborted { ep },
             ) => {
                 let _ = write!(s, ",\"ep\":{ep}");

@@ -11,9 +11,9 @@
 //!   (commodity crystals: tens of ppm).
 //! * Random *wander* perturbs `drift` as a slow random walk, so even a
 //!   perfectly disciplined clock re-drifts between NTP polls.
-//! * Corrections are applied ntpd-style: offsets below the step threshold
-//!   are *slewed* (rate temporarily biased by at most `max_slew_ppm`, keeping
-//!   local time monotonic); larger offsets *step* the clock.
+//! * Corrections are applied ntpd-style: offsets below [`STEP_THRESHOLD_NS`]
+//!   are *slewed* (rate temporarily biased by at most `MAX_SLEW_PPM`,
+//!   keeping local time monotonic); larger offsets *step* the clock.
 //!
 //! Guest time in the paper is **not virtualized**: a guest reads its host's
 //! clock, so a checkpoint/restore cycle appears to the guest as a forward
@@ -29,6 +29,14 @@ pub type LocalNs = i64;
 
 const PPM: f64 = 1e-6;
 
+/// Maximum slew rate used to absorb corrections, ppm (ntpd: 500).
+const MAX_SLEW_PPM: f64 = 500.0;
+
+/// Corrections at or above this magnitude step the clock instead of
+/// slewing (ntpd: 128 ms). The NTP discipline ([`crate::ntp::Discipline`])
+/// steps on the same threshold.
+pub const STEP_THRESHOLD_NS: f64 = 128.0e6;
+
 /// Configuration for a hardware clock.
 #[derive(Clone, Copy, Debug)]
 pub struct ClockConfig {
@@ -38,11 +46,6 @@ pub struct ClockConfig {
     pub drift_ppm: f64,
     /// Std-dev of the per-√second random walk on drift, ppm.
     pub wander_ppm: f64,
-    /// Maximum slew rate used to absorb corrections, ppm (ntpd: 500).
-    pub max_slew_ppm: f64,
-    /// Corrections at or above this magnitude step the clock instead of
-    /// slewing (ntpd: 128 ms).
-    pub step_threshold_ns: f64,
 }
 
 impl Default for ClockConfig {
@@ -51,8 +54,6 @@ impl Default for ClockConfig {
             initial_offset_ns: 0.0,
             drift_ppm: 0.0,
             wander_ppm: 0.01,
-            max_slew_ppm: 500.0,
-            step_threshold_ns: 128.0e6,
         }
     }
 }
@@ -88,7 +89,6 @@ impl HwClock {
             initial_offset_ns: 0.0,
             drift_ppm: 0.0,
             wander_ppm: 0.0,
-            ..ClockConfig::default()
         })
     }
 
@@ -120,7 +120,7 @@ impl HwClock {
 
         // Slew absorption, capped by the max slew rate over this interval.
         if self.pending_slew_ns != 0.0 {
-            let cap = self.cfg.max_slew_ppm * PPM * dt_ns;
+            let cap = MAX_SLEW_PPM * PPM * dt_ns;
             let applied = self.pending_slew_ns.clamp(-cap, cap);
             local += applied;
             self.pending_slew_ns -= applied;
@@ -148,7 +148,7 @@ impl HwClock {
         let mut local = self.base_local + dt_ns * (1.0 + self.freq_ppm * PPM);
         // Include in-progress slew so reads between advances stay continuous.
         if self.pending_slew_ns != 0.0 {
-            let cap = self.cfg.max_slew_ppm * PPM * dt_ns;
+            let cap = MAX_SLEW_PPM * PPM * dt_ns;
             local += self.pending_slew_ns.clamp(-cap, cap);
         }
         local.round() as LocalNs
@@ -164,7 +164,7 @@ impl HwClock {
     /// otherwise queues a slew. Returns `true` if the clock stepped.
     pub fn correct(&mut self, true_now: SimTime, theta_ns: f64) -> bool {
         self.advance::<rand::rngs::SmallRng>(true_now, None);
-        if theta_ns.abs() >= self.cfg.step_threshold_ns {
+        if theta_ns.abs() >= STEP_THRESHOLD_NS {
             self.base_local += theta_ns + self.pending_slew_ns;
             self.pending_slew_ns = 0.0;
             true
@@ -179,9 +179,9 @@ impl HwClock {
     /// whatever the previous correction has not yet absorbed, so a
     /// discipline loop that updates faster than the slew rate must use this
     /// form to avoid double-counting.
-    pub fn set_correction(&mut self, true_now: SimTime, theta_ns: f64) -> bool {
+    pub(crate) fn set_correction(&mut self, true_now: SimTime, theta_ns: f64) -> bool {
         self.advance::<rand::rngs::SmallRng>(true_now, None);
-        if theta_ns.abs() >= self.cfg.step_threshold_ns {
+        if theta_ns.abs() >= STEP_THRESHOLD_NS {
             self.base_local += theta_ns + self.pending_slew_ns;
             self.pending_slew_ns = 0.0;
             true
@@ -192,14 +192,9 @@ impl HwClock {
     }
 
     /// Adjust the frequency estimate by `adj_ppm` (discipline feedback).
-    pub fn adjust_freq(&mut self, true_now: SimTime, adj_ppm: f64) {
+    pub(crate) fn adjust_freq(&mut self, true_now: SimTime, adj_ppm: f64) {
         self.advance::<rand::rngs::SmallRng>(true_now, None);
         self.freq_ppm += adj_ppm;
-    }
-
-    /// Current frequency error in ppm.
-    pub fn freq_ppm(&self) -> f64 {
-        self.freq_ppm
     }
 
     /// Correction still being slewed out, ns.
@@ -313,7 +308,7 @@ mod tests {
             ..ClockConfig::default()
         });
         c.adjust_freq(at(0.0), -50.0);
-        assert_eq!(c.freq_ppm(), 0.0);
+        assert_eq!(c.freq_ppm, 0.0);
         assert!(c.error_ns(at(10.0)).abs() < 1.0);
     }
 
@@ -327,9 +322,9 @@ mod tests {
         for i in 1..=100 {
             c.advance(at(i as f64 * 10.0), Some(&mut rng));
         }
-        assert_ne!(c.freq_ppm(), 0.0);
+        assert_ne!(c.freq_ppm, 0.0);
         // Random walk: 100 steps of σ = √10 ppm ⇒ total σ ≈ 32 ppm; 5σ bound.
-        assert!(c.freq_ppm().abs() < 160.0, "freq {}", c.freq_ppm());
+        assert!(c.freq_ppm.abs() < 160.0, "freq {}", c.freq_ppm);
     }
 
     #[test]

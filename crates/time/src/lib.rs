@@ -22,4 +22,4 @@ pub mod clock;
 pub mod ntp;
 
 pub use clock::{HwClock, LocalNs};
-pub use ntp::{offset_delay, ClockFilter, Discipline, NtpSample};
+pub use ntp::{offset_delay, Discipline, NtpSample};

@@ -6,7 +6,7 @@
 //! detail that matters for LSC:
 //!
 //! * [`offset_delay`] — the classic four-timestamp estimator.
-//! * [`ClockFilter`] — keep the last 8 samples, trust the one with minimum
+//! * `ClockFilter` — keep the last 8 samples, trust the one with minimum
 //!   round-trip delay (minimum-delay samples have the least asymmetry error).
 //! * [`Discipline`] — a small PI-style loop: step on large offsets, otherwise
 //!   slew the full filtered offset and nudge the frequency estimate by the
@@ -14,7 +14,7 @@
 //!   paths and a few ms under jittery/asymmetric delays — the regime the
 //!   paper's prototype depends on.
 
-use crate::clock::{HwClock, LocalNs};
+use crate::clock::{HwClock, LocalNs, STEP_THRESHOLD_NS};
 use dvc_sim_core::SimTime;
 
 /// One completed client↔server exchange.
@@ -42,11 +42,11 @@ pub fn offset_delay(t1: LocalNs, t2: LocalNs, t3: LocalNs, t4: LocalNs) -> (f64,
 
 /// An 8-deep minimum-delay clock filter.
 #[derive(Clone, Debug, Default)]
-pub struct ClockFilter {
+pub(crate) struct ClockFilter {
     samples: Vec<NtpSample>,
 }
 
-pub const FILTER_DEPTH: usize = 8;
+pub(crate) const FILTER_DEPTH: usize = 8;
 
 impl ClockFilter {
     pub fn new() -> Self {
@@ -75,58 +75,19 @@ impl ClockFilter {
             })
             .copied()
     }
-
-    /// Dispersion of retained offsets (max − min), a quality signal.
-    pub fn offset_spread_ns(&self) -> f64 {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for s in &self.samples {
-            lo = lo.min(s.offset_ns);
-            hi = hi.max(s.offset_ns);
-        }
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            hi - lo
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
 }
 
-/// Discipline configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct DisciplineConfig {
-    /// Offsets at or above this step the clock (ntpd: 128 ms).
-    pub step_threshold_ns: f64,
-    /// Fraction of the filtered offset corrected per update (0 < g ≤ 1).
-    pub offset_gain: f64,
-    /// Gain on the frequency term (per update, dimensionless).
-    pub freq_gain: f64,
-    /// Clamp on any single frequency adjustment, ppm.
-    pub max_freq_adj_ppm: f64,
-}
+/// Fraction of the filtered offset corrected per update (0 < g ≤ 1).
+const OFFSET_GAIN: f64 = 1.0;
+/// Gain on the frequency term (per update, dimensionless).
+const FREQ_GAIN: f64 = 0.1;
+/// Clamp on any single frequency adjustment, ppm.
+const MAX_FREQ_ADJ_PPM: f64 = 10.0;
 
-impl Default for DisciplineConfig {
-    fn default() -> Self {
-        DisciplineConfig {
-            step_threshold_ns: 128.0e6,
-            offset_gain: 1.0,
-            freq_gain: 0.1,
-            max_freq_adj_ppm: 10.0,
-        }
-    }
-}
-
-/// The clock discipline loop driven by filtered NTP samples.
-#[derive(Clone, Debug)]
+/// The clock discipline loop driven by filtered NTP samples. Offsets at or
+/// above [`STEP_THRESHOLD_NS`] step the clock; smaller ones slew it.
+#[derive(Clone, Debug, Default)]
 pub struct Discipline {
-    cfg: DisciplineConfig,
     filter: ClockFilter,
     last_update: Option<(LocalNs, f64)>,
     /// Count of hard steps applied (diagnostics).
@@ -136,18 +97,13 @@ pub struct Discipline {
 }
 
 impl Discipline {
-    pub fn new(cfg: DisciplineConfig) -> Self {
+    pub fn new() -> Self {
         Discipline {
-            cfg,
             filter: ClockFilter::new(),
             last_update: None,
             steps: 0,
             updates: 0,
         }
-    }
-
-    pub fn filter(&self) -> &ClockFilter {
-        &self.filter
     }
 
     /// Ingest a completed exchange and, if warranted, correct `clock`.
@@ -172,7 +128,7 @@ impl Discipline {
         let theta = sample.offset_ns;
         self.updates += 1;
 
-        if theta.abs() >= self.cfg.step_threshold_ns {
+        if theta.abs() >= STEP_THRESHOLD_NS {
             clock.set_correction(true_now, theta);
             self.steps += 1;
             self.last_update = Some((sample.completed_at, 0.0));
@@ -185,13 +141,12 @@ impl Discipline {
             let tau_ns = (sample.completed_at - last_t) as f64;
             if tau_ns > 1e6 {
                 let rate_err_ppm = theta / tau_ns * 1e6;
-                let adj = (rate_err_ppm * self.cfg.freq_gain)
-                    .clamp(-self.cfg.max_freq_adj_ppm, self.cfg.max_freq_adj_ppm);
+                let adj = (rate_err_ppm * FREQ_GAIN).clamp(-MAX_FREQ_ADJ_PPM, MAX_FREQ_ADJ_PPM);
                 clock.adjust_freq(true_now, adj);
             }
         }
 
-        let applied = theta * self.cfg.offset_gain;
+        let applied = theta * OFFSET_GAIN;
         clock.set_correction(true_now, applied);
         self.last_update = Some((sample.completed_at, theta));
         Some(applied)
@@ -243,7 +198,6 @@ mod tests {
             completed_at: 3,
         });
         assert_eq!(f.best().unwrap().offset_ns, 1.0e6);
-        assert!((f.offset_spread_ns() - 8.0e6).abs() < 1.0);
     }
 
     #[test]
@@ -256,7 +210,7 @@ mod tests {
                 completed_at: i,
             });
         }
-        assert_eq!(f.len(), FILTER_DEPTH);
+        assert_eq!(f.samples.len(), FILTER_DEPTH);
     }
 
     /// End-to-end: a drifting, badly-set clock polling a perfect server over
@@ -269,9 +223,8 @@ mod tests {
             initial_offset_ns: 350.0e6, // 350 ms off at boot → first poll steps
             drift_ppm: 40.0,
             wander_ppm: 0.05,
-            ..ClockConfig::default()
         });
-        let mut disc = Discipline::new(DisciplineConfig::default());
+        let mut disc = Discipline::new();
 
         let poll = 4.0; // seconds between polls
         let mut worst_late = 0.0f64;
@@ -320,9 +273,8 @@ mod tests {
             initial_offset_ns: 10.0e6,
             drift_ppm: -25.0,
             wander_ppm: 0.05,
-            ..ClockConfig::default()
         });
-        let mut disc = Discipline::new(DisciplineConfig::default());
+        let mut disc = Discipline::new();
         let mut worst_late = 0.0f64;
         for i in 0..300 {
             let t = SimTime::from_secs_f64(i as f64 * 8.0);

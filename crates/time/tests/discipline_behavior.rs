@@ -6,11 +6,9 @@
 //! `hardened-clock-step-blown-window` fuzz-corpus case in `dvc-bench`).
 
 use dvc_sim_core::SimTime;
-use dvc_time::clock::{ClockConfig, HwClock, LocalNs};
-use dvc_time::ntp::{offset_delay, Discipline, DisciplineConfig, NtpSample};
+use dvc_time::clock::{ClockConfig, HwClock, LocalNs, STEP_THRESHOLD_NS};
+use dvc_time::ntp::{offset_delay, Discipline, NtpSample};
 use proptest::prelude::*;
-
-const STEP_THRESHOLD_NS: f64 = 128.0e6;
 
 /// One symmetric client↔server exchange against a perfect server with
 /// fixed 100 µs one-way delays; returns the sample and its completion
@@ -55,7 +53,30 @@ proptest! {
     }
 }
 
-/// A sub-threshold correction is absorbed at no more than `max_slew_ppm`
+/// The clock and the discipline share one threshold: an offset exactly at
+/// it steps in both, and one ns below it slews in both.
+#[test]
+fn clock_and_discipline_step_at_the_same_boundary() {
+    let t = SimTime::from_secs(1);
+    for (theta, steps) in [(STEP_THRESHOLD_NS, true), (STEP_THRESHOLD_NS - 1.0, false)] {
+        let mut clock = HwClock::perfect();
+        assert_eq!(clock.correct(t, theta), steps, "clock at θ = {theta}");
+
+        let mut clock = HwClock::perfect();
+        let mut disc = Discipline::new();
+        let sample = NtpSample {
+            offset_ns: theta,
+            delay_ns: 200_000.0,
+            completed_at: clock.read(t),
+        };
+        assert_eq!(disc.on_sample(&mut clock, t, sample), Some(theta));
+        assert_eq!(disc.steps, u32::from(steps), "discipline at θ = {theta}");
+        let pending = if steps { 0.0 } else { theta };
+        assert_eq!(clock.pending_slew_ns(), pending);
+    }
+}
+
+/// A sub-threshold correction is absorbed at no more than `MAX_SLEW_PPM`
 /// — 500 ppm means 100 ms takes 200 s to slew out, not one tick.
 #[test]
 fn slew_rate_is_capped() {
@@ -85,9 +106,8 @@ fn discipline_converges_from_boot_offset() {
         initial_offset_ns: 500.0e6,
         drift_ppm: 30.0,
         wander_ppm: 0.0,
-        ..ClockConfig::default()
     });
-    let mut disc = Discipline::new(DisciplineConfig::default());
+    let mut disc = Discipline::new();
     let mut worst_late = 0.0f64;
     for i in 1..=100 {
         let t = SimTime::from_secs(4 * i);
@@ -115,9 +135,8 @@ fn step_during_outage_is_recovered_on_resume() {
         initial_offset_ns: 3.0e6,
         drift_ppm: 20.0,
         wander_ppm: 0.0,
-        ..ClockConfig::default()
     });
-    let mut disc = Discipline::new(DisciplineConfig::default());
+    let mut disc = Discipline::new();
     // Phase 1: disciplined normally for 200 s.
     for i in 1..=50 {
         let t = SimTime::from_secs(4 * i);
@@ -163,7 +182,7 @@ fn step_during_outage_is_recovered_on_resume() {
 #[test]
 fn popcorn_sample_is_ignored() {
     let mut clock = HwClock::perfect();
-    let mut disc = Discipline::new(DisciplineConfig::default());
+    let mut disc = Discipline::new();
     for i in 1..=10 {
         let t = SimTime::from_secs(4 * i);
         clock.advance::<rand::rngs::SmallRng>(t, None);

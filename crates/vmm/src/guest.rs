@@ -103,7 +103,7 @@ pub struct KmsgEntry {
 }
 
 /// Guest kernel message ring bound.
-pub const KMSG_CAP: usize = 4096;
+pub(crate) const KMSG_CAP: usize = 4096;
 
 /// The guest software watchdog (paper §3.2). It must be petted at least once
 /// per `period_ns` of *wall* time; a save/restore cycle jumps wall time and
@@ -167,10 +167,6 @@ impl VirtDisk {
         let dur = (bytes as f64 / self.write_bps * 1e9) as i64;
         self.busy_until = start + dur;
         self.bytes_written += bytes;
-        self.busy_until
-    }
-
-    pub fn idle_at(&self) -> LocalNs {
         self.busy_until
     }
 }
@@ -237,7 +233,7 @@ impl GuestOs {
     }
 
     /// Append to the kernel log (bounded ring).
-    pub fn log_kmsg(&mut self, at: LocalNs, msg: impl Into<String>) {
+    pub(crate) fn log_kmsg(&mut self, at: LocalNs, msg: impl Into<String>) {
         if self.kmsg.len() >= KMSG_CAP {
             self.kmsg.remove(0);
         }
@@ -278,11 +274,6 @@ impl GuestOs {
             ProcPoll::Failed(e) => ProcState::Failed(e.clone()),
         };
         Some(poll)
-    }
-
-    /// True while any process is still live.
-    pub fn has_live_procs(&self) -> bool {
-        self.procs.iter().any(|p| p.state.is_live())
     }
 
     /// First failure recorded on any process, if any.
@@ -366,7 +357,7 @@ mod tests {
     fn spawn_and_poll_to_completion() {
         let mut g = guest();
         let idx = g.spawn("steps", Box::new(ThreeSteps { left: 3 }));
-        assert!(g.has_live_procs());
+        assert!(g.procs[idx].state.is_live());
         let mut polls = 0;
         while g.procs[idx].state.is_live() {
             g.poll_proc(idx, 0).unwrap();
@@ -375,7 +366,7 @@ mod tests {
         }
         assert_eq!(polls, 4); // 3 computes + final Done
         assert!(g.all_done());
-        assert!(!g.has_live_procs());
+        assert!(!g.procs[idx].state.is_live());
     }
 
     #[test]
@@ -391,7 +382,7 @@ mod tests {
         assert!(g.all_done());
         // The snapshot still has 2 steps left: resume it independently.
         let mut restored = snap;
-        assert!(restored.has_live_procs());
+        assert!(restored.procs[idx].state.is_live());
         let mut polls = 0;
         while restored.procs[idx].state.is_live() {
             restored.poll_proc(idx, 0);

@@ -97,9 +97,10 @@ pub mod scenarios {
         hosts: Vec<NodeId>,
     ) -> VcId {
         let id = dvc_core::vc::provision_vc(sim, spec, hosts, |_s, _id| {});
-        while dvc_core::vc::vc(sim, id).map(|v| v.state) != Some(dvc_core::vc::VcState::Up) {
-            assert!(sim.step(), "provisioning stalled");
-        }
+        let up = sim.run_until(SimTime::NEVER, |sim| {
+            dvc_core::vc::vc(sim, id).map(|v| v.state) == Some(dvc_core::vc::VcState::Up)
+        });
+        assert!(up, "provisioning stalled");
         id
     }
 
