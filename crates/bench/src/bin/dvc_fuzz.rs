@@ -236,10 +236,12 @@ fn cmd_corpus(dir: Option<&str>) {
     }
     let mut bad = 0;
     for (path, case) in &cases {
+        // Relative to the corpus directory, so every checkout prints alike.
+        let path = path.strip_prefix(&dir).unwrap_or(path).display();
         match corpus::replay(case) {
-            Ok(r) => println!("{}: {} — {}", path.display(), case.name, r.summary()),
+            Ok(r) => println!("{path}: {} — {}", case.name, r.summary()),
             Err(e) => {
-                println!("{}: FAILED: {e}", path.display());
+                println!("{path}: FAILED: {e}");
                 bad += 1;
             }
         }

@@ -42,7 +42,6 @@ pub enum JobState {
     Running,
     Completed,
     Failed,
-    Cancelled,
 }
 
 /// A job record.
@@ -66,8 +65,6 @@ pub struct ResourceManager {
     busy: FastSet<NodeId>,
     launchers: FastMap<JobId, Launcher>,
     next_id: u64,
-    /// Enable EASY backfill (on by default).
-    pub backfill: bool,
     /// Jobs that lost a node to a crash, for the reliability layer.
     pub failed_by_node_loss: Vec<JobId>,
 }
@@ -86,7 +83,6 @@ impl ResourceManager {
             busy: FastSet::default(),
             launchers: FastMap::default(),
             next_id: 1,
-            backfill: true,
             failed_by_node_loss: Vec::new(),
         }
     }
@@ -95,16 +91,8 @@ impl ResourceManager {
         self.jobs.get(&id)
     }
 
-    pub fn queued_count(&self) -> usize {
-        self.queue.len()
-    }
-
     pub fn busy_nodes(&self) -> usize {
         self.busy.len()
-    }
-
-    pub fn is_busy(&self, n: NodeId) -> bool {
-        self.busy.contains(&n)
     }
 
     /// Called when a node crashes: running jobs that used it fail, and are
@@ -229,9 +217,7 @@ pub(crate) fn try_schedule(sim: &mut Sim<ClusterWorld>) {
             continue;
         }
         // Head is blocked: EASY backfill behind its reservation.
-        if sim.world.rm.backfill {
-            backfill_pass(sim, head, &spec);
-        }
+        backfill_pass(sim, head, &spec);
         return;
     }
 }
@@ -334,18 +320,6 @@ pub fn complete_job(sim: &mut Sim<ClusterWorld>, id: JobId, success: bool) {
     }
     sim.emit(Event::Rm(RmEvent::JobCompleted { job: id.0, success }));
     try_schedule(sim);
-}
-
-/// Cancel a queued job.
-pub fn cancel_job(sim: &mut Sim<ClusterWorld>, id: JobId) {
-    let rm = &mut sim.world.rm;
-    if let Some(j) = rm.jobs.get_mut(&id) {
-        if j.state == JobState::Queued {
-            j.state = JobState::Cancelled;
-            rm.queue.retain(|&q| q != id);
-            rm.launchers.remove(&id);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -595,7 +569,7 @@ mod tests {
         assert_eq!(uniq.len(), all.len(), "no node is double-assigned");
         assert_eq!(sim.world.rm.busy_nodes(), 6);
         for &n in &job.assigned {
-            assert!(sim.world.rm.is_busy(n));
+            assert!(sim.world.rm.busy.contains(&n));
         }
         // Completion frees exactly the spanning job's nodes, in both
         // clusters, so pinned jobs can start in either.
@@ -694,23 +668,5 @@ mod tests {
         );
         assert_eq!(rm.job(JobId(5)).unwrap().state, JobState::Running);
         assert_eq!(rm.job(JobId(9)).unwrap().state, JobState::Completed);
-    }
-
-    #[test]
-    fn cancel_removes_queued_job() {
-        let mut sim = sim(1, 2);
-        let _a = submit(
-            &mut sim,
-            spec(2, 100, Placement::SingleCluster),
-            recording_launcher(),
-        );
-        let b = submit(
-            &mut sim,
-            spec(2, 100, Placement::SingleCluster),
-            recording_launcher(),
-        );
-        cancel_job(&mut sim, b);
-        assert_eq!(sim.world.rm.job(b).unwrap().state, JobState::Cancelled);
-        assert_eq!(sim.world.rm.queued_count(), 0);
     }
 }

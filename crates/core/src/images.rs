@@ -52,16 +52,6 @@ impl ImageManager {
         let v = self.version(image);
         self.staged.insert((node, image), v);
     }
-
-    /// A crashed/repaired node loses its local disk contents.
-    pub fn invalidate_node(&mut self, node: NodeId) {
-        self.staged.retain(|(n, _), _| *n != node);
-    }
-
-    /// Count of distinct (node, image) copies currently staged.
-    pub fn staged_copies(&self) -> usize {
-        self.staged.len()
-    }
 }
 
 /// Access the world's image manager.
@@ -82,7 +72,7 @@ mod tests {
         assert!(m.needs_staging(n, img));
         m.note_staged(n, img);
         assert!(!m.needs_staging(n, img));
-        assert_eq!(m.staged_copies(), 1);
+        assert_eq!(m.staged.len(), 1);
     }
 
     #[test]
@@ -98,22 +88,6 @@ mod tests {
         for i in 0..4 {
             assert!(m.needs_staging(NodeId(i), img), "node {i}");
         }
-    }
-
-    #[test]
-    fn node_crash_invalidates_its_copies_only() {
-        let mut m = ImageManager::default();
-        let a = ImageId(1);
-        let b = ImageId(2);
-        m.publish(a);
-        m.publish(b);
-        m.note_staged(NodeId(0), a);
-        m.note_staged(NodeId(0), b);
-        m.note_staged(NodeId(1), a);
-        m.invalidate_node(NodeId(0));
-        assert!(m.needs_staging(NodeId(0), a));
-        assert!(m.needs_staging(NodeId(0), b));
-        assert!(!m.needs_staging(NodeId(1), a));
     }
 
     #[test]

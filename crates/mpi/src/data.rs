@@ -208,11 +208,6 @@ impl RankData {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.map.keys().map(String::as_str)
     }
-
-    /// Total wire size of all values (used by app-level checkpoint sizing).
-    pub fn total_wire_len(&self) -> u64 {
-        self.map.values().map(|v| v.wire_len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -264,13 +259,5 @@ mod tests {
         let taken = d.take("x").unwrap();
         assert_eq!(taken, Value::F64(1.5));
         assert!(!d.contains("x"));
-    }
-
-    #[test]
-    fn total_wire_len_sums() {
-        let mut d = RankData::new();
-        d.set("a", Value::U64(1)); // 9
-        d.set("b", Value::Bytes(vec![0; 10])); // 19
-        assert_eq!(d.total_wire_len(), 28);
     }
 }

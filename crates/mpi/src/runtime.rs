@@ -314,10 +314,7 @@ impl MpiRuntime {
             self.parse_frames(r);
             // Flush queued tx chunks (only possible once established). The
             // chunks pass to the stack's send queue without being copied.
-            if matches!(
-                ctx.tcp.state(sock),
-                Some(TcpState::Established) | Some(TcpState::CloseWait)
-            ) {
+            if ctx.tcp.state(sock) == Some(TcpState::Established) {
                 let peer = self.peers.get_mut(&r).unwrap();
                 while !peer.tx.is_empty() {
                     let cap = ctx.tcp.send_capacity(sock);
@@ -345,12 +342,8 @@ impl MpiRuntime {
         self.peer_ranks().all(|r| {
             self.peers.get(&r).is_some_and(|p| {
                 p.tx.is_empty()
-                    && p.sock.is_some_and(|sock| {
-                        matches!(
-                            ctx.tcp.state(sock),
-                            Some(TcpState::Established) | Some(TcpState::CloseWait)
-                        )
-                    })
+                    && p.sock
+                        .is_some_and(|sock| ctx.tcp.state(sock) == Some(TcpState::Established))
             })
         })
     }
@@ -501,7 +494,7 @@ impl GuestProc for MpiRuntime {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use dvc_net::packet::{Packet, L4};
+    use dvc_net::packet::{Packet, TcpFlags, TcpSegment, L4};
     use dvc_net::tcp::{StackOutput, TcpConfig, TcpStack};
     use dvc_net::VirtAddr;
     use dvc_vmm::guest::GuestOs;
@@ -667,10 +660,21 @@ mod tests {
 
     #[test]
     fn errored_idle_peer_still_fails_the_pump() {
-        let (mut rt, mut os, mut remote, sock) = connected_pair();
-        remote.abort(0, sock);
-        shuttle(&mut remote, &mut os.tcp);
+        let (mut rt, mut os, remote, sock) = connected_pair();
+        // Rank 1's end resets the connection.
         let local = rt.peers[&1].sock.unwrap();
+        let (src, src_port) = os.tcp.peer_of(local).unwrap();
+        let (_, dst_port) = remote.peer_of(sock).unwrap();
+        let rst = TcpSegment {
+            src_port,
+            dst_port,
+            seq: 0,
+            ack: 0,
+            flags: TcpFlags::RST,
+            wnd: 0,
+            payload: Bytes::new(),
+        };
+        os.tcp.on_segment(0, src, rst);
         assert!(os.tcp.error(local).is_some(), "reset not seen");
         assert_eq!(os.tcp.readable_bytes(local), 0);
         assert!(rt.peers[&1].tx.is_empty());

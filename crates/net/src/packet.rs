@@ -24,7 +24,6 @@ pub(crate) const UDP_HEADER: u64 = 8;
 pub struct TcpFlags {
     pub syn: bool,
     pub ack: bool,
-    pub fin: bool,
     pub rst: bool,
 }
 
@@ -32,31 +31,21 @@ impl TcpFlags {
     pub(crate) const SYN: TcpFlags = TcpFlags {
         syn: true,
         ack: false,
-        fin: false,
         rst: false,
     };
     pub(crate) const SYN_ACK: TcpFlags = TcpFlags {
         syn: true,
         ack: true,
-        fin: false,
         rst: false,
     };
     pub const ACK: TcpFlags = TcpFlags {
         syn: false,
         ack: true,
-        fin: false,
-        rst: false,
-    };
-    pub(crate) const FIN_ACK: TcpFlags = TcpFlags {
-        syn: false,
-        ack: true,
-        fin: true,
         rst: false,
     };
     pub const RST: TcpFlags = TcpFlags {
         syn: false,
         ack: false,
-        fin: false,
         rst: true,
     };
 }
@@ -69,9 +58,6 @@ impl fmt::Debug for TcpFlags {
         }
         if self.ack {
             s.push('A');
-        }
-        if self.fin {
-            s.push('F');
         }
         if self.rst {
             s.push('R');
@@ -97,11 +83,9 @@ pub struct TcpSegment {
 }
 
 impl TcpSegment {
-    /// Sequence space consumed by this segment (payload + SYN/FIN).
+    /// Sequence space consumed by this segment (payload + SYN).
     pub(crate) fn seq_len(&self) -> u32 {
-        self.payload.len() as u32
-            + if self.flags.syn { 1 } else { 0 }
-            + if self.flags.fin { 1 } else { 0 }
+        self.payload.len() as u32 + if self.flags.syn { 1 } else { 0 }
     }
 }
 
@@ -211,10 +195,8 @@ mod tests {
             payload: Bytes::new(),
         };
         assert_eq!(s.seq_len(), 1);
-        s.flags = TcpFlags::FIN_ACK;
-        s.payload = Bytes::from_static(b"abc");
-        assert_eq!(s.seq_len(), 4);
         s.flags = TcpFlags::ACK;
+        s.payload = Bytes::from_static(b"abc");
         assert_eq!(s.seq_len(), 3);
     }
 

@@ -15,7 +15,8 @@
 //! * fast retransmit on three duplicate ACKs;
 //! * flow control by advertised window, with bounded zero-window probing;
 //! * slow-start / AIMD congestion control;
-//! * orderly FIN teardown with TIME-WAIT, and RST handling throughout.
+//! * RST when the retry budget aborts a connection or a segment reaches a
+//!   closed port, and RST handling throughout.
 //!
 //! **Design for checkpointing.** The stack is a plain `Clone` value and all
 //! timer deadlines are *node-local wall-clock* nanoseconds stored inside the
@@ -27,7 +28,11 @@
 //!
 //! Not modelled (documented simplifications): Nagle, delayed ACK, window
 //! scaling (windows are plain u32 byte counts), SACK, simultaneous open,
-//! keepalive (no experiment leaves a connection idle long enough to need it).
+//! keepalive (no experiment leaves a connection idle long enough to need it),
+//! orderly close (FIN, TIME-WAIT): MPI ranks keep their mesh until the VM is
+//! destroyed, so a connection ends only by RST or by the retry budget, and
+//! whole-VM checkpointing leaves in-flight state to retransmission rather
+//! than draining sockets.
 
 use crate::addr::Addr;
 use crate::bytequeue::ByteQueue;
@@ -64,8 +69,6 @@ pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
 const RTO_INITIAL_NS: i64 = 1_000_000_000;
 /// Duplicate ACKs that trigger fast retransmit.
 const DUPACK_THRESHOLD: u32 = 3;
-/// TIME-WAIT linger, ns (real stacks: 2·MSL; shortened for simulation).
-const TIME_WAIT_NS: i64 = 1_000_000_000;
 
 /// Stack configuration.
 #[derive(Clone, Copy, Debug)]
@@ -102,19 +105,14 @@ impl Default for TcpConfig {
     }
 }
 
-/// Connection states (RFC 793 subset; no simultaneous open).
+/// Connection states (RFC 793 subset; no simultaneous open, no orderly
+/// close).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TcpState {
     Listen,
     SynSent,
     SynReceived,
     Established,
-    FinWait1,
-    FinWait2,
-    CloseWait,
-    LastAck,
-    Closing,
-    TimeWait,
     Closed,
 }
 
@@ -127,8 +125,6 @@ pub enum TcpError {
     RetryTimeout,
     /// Active open exhausted SYN retries.
     ConnectTimeout,
-    /// Local abort.
-    Aborted,
 }
 
 /// Events surfaced to the application layer.
@@ -142,12 +138,8 @@ pub enum SockEvent {
     Readable,
     /// Send-buffer space opened after back-pressure.
     Writable,
-    /// Peer closed its direction (EOF after draining).
-    PeerClosed,
     /// Connection failed; no further I/O possible.
     Failed(TcpError),
-    /// Teardown fully completed.
-    Closed,
 }
 
 /// Stack outputs drained by the host glue after every entry-point call.
@@ -202,15 +194,9 @@ fn push_note(notes: &mut Vec<TcpNote>, n: TcpNote) {
 /// Aggregate stack counters.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct TcpCounters {
-    pub segs_sent: u64,
-    pub segs_received: u64,
-    pub bytes_sent: u64,
-    pub bytes_received: u64,
     pub retransmits: u64,
     pub fast_retransmits: u64,
     pub timeouts: u64,
-    pub resets_sent: u64,
-    pub resets_received: u64,
     pub conns_aborted: u64,
     pub dup_segments: u64,
     pub zero_window_probes: u64,
@@ -239,10 +225,6 @@ struct Socket {
     /// chain of shared chunks so segmentation and retransmission are
     /// zero-copy windows into the application's writes.
     send_q: ByteQueue,
-    /// App requested close: FIN goes out after the queue drains.
-    fin_queued: bool,
-    /// Sequence number the FIN occupies once sent.
-    fin_seq: Option<u32>,
     /// App tried to send into a full buffer; emit Writable when space opens.
     want_write: bool,
 
@@ -271,12 +253,9 @@ struct Socket {
     /// are chained here without copying; the application drains via
     /// [`TcpStack::recv_into`].
     recv_q: ByteQueue,
-    /// We saw the peer's FIN (already consumed into rcv_nxt).
-    peer_fin: bool,
     /// Window was advertised as zero; send an update when it reopens.
     wnd_was_closed: bool,
 
-    time_wait_deadline: Option<LocalNs>,
     error: Option<TcpError>,
 }
 
@@ -291,8 +270,6 @@ impl Socket {
             snd_max: 0,
             snd_wnd: 0,
             send_q: ByteQueue::new(),
-            fin_queued: false,
-            fin_seq: None,
             want_write: false,
             cwnd: 0.0,
             ssthresh: f64::INFINITY,
@@ -307,14 +284,12 @@ impl Socket {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             recv_q: ByteQueue::new(),
-            peer_fin: false,
             wnd_was_closed: false,
-            time_wait_deadline: None,
             error: None,
         }
     }
 
-    /// Bytes in flight (sent, not yet acked), excluding SYN/FIN bookkeeping.
+    /// Sequence space in flight (sent, not yet acked).
     fn flight(&self) -> u32 {
         self.snd_nxt.wrapping_sub(self.snd_una)
     }
@@ -433,13 +408,7 @@ impl TcpStack {
 
     /// Pop the next established connection waiting on a listener.
     pub fn accept(&mut self, listener: SockId) -> Option<SockId> {
-        loop {
-            let sock = self.accept_q.get_mut(&listener)?.pop_front()?;
-            // Skip connections that died before the app accepted them.
-            if self.sockets.contains_key(&sock) {
-                return Some(sock);
-            }
-        }
+        self.accept_q.get_mut(&listener)?.pop_front()
     }
 
     /// The remote endpoint of a connected socket.
@@ -477,7 +446,7 @@ impl TcpStack {
         let Some(s) = self.sockets.get_mut(&sock) else {
             return 0;
         };
-        if !matches!(s.state, TcpState::Established | TcpState::CloseWait) || s.fin_queued {
+        if s.state != TcpState::Established {
             return 0;
         }
         let space = self.cfg.send_buf.saturating_sub(s.send_q.len());
@@ -498,7 +467,7 @@ impl TcpStack {
         let Some(s) = self.sockets.get_mut(&sock) else {
             return 0;
         };
-        if !matches!(s.state, TcpState::Established | TcpState::CloseWait) || s.fin_queued {
+        if s.state != TcpState::Established {
             return 0;
         }
         let space = self.cfg.send_buf.saturating_sub(s.send_q.len());
@@ -558,61 +527,6 @@ impl TcpStack {
         self.sockets.get(&sock).map_or(0, |s| s.recv_q.len())
     }
 
-    /// True once the peer has closed and all its bytes are consumed.
-    pub fn at_eof(&self, sock: SockId) -> bool {
-        self.sockets
-            .get(&sock)
-            .is_some_and(|s| s.peer_fin && s.recv_q.is_empty())
-    }
-
-    /// Orderly close: FIN after pending data drains.
-    pub fn close(&mut self, now: LocalNs, sock: SockId) {
-        let Some(s) = self.sockets.get_mut(&sock) else {
-            return;
-        };
-        match s.state {
-            TcpState::Listen => {
-                let port = s.local_port;
-                self.listeners.remove(&port);
-                self.destroy(sock);
-            }
-            TcpState::SynSent => {
-                self.destroy(sock);
-            }
-            TcpState::Established | TcpState::SynReceived => {
-                s.fin_queued = true;
-                s.state = TcpState::FinWait1;
-                self.pump(now, sock);
-            }
-            TcpState::CloseWait => {
-                s.fin_queued = true;
-                s.state = TcpState::LastAck;
-                self.pump(now, sock);
-            }
-            _ => {}
-        }
-    }
-
-    /// Abortive close: RST to the peer, socket destroyed.
-    pub fn abort(&mut self, now: LocalNs, sock: SockId) {
-        let _ = now;
-        let Some(s) = self.sockets.get(&sock) else {
-            return;
-        };
-        if let Some((raddr, rport)) = s.remote {
-            if !matches!(s.state, TcpState::Closed | TcpState::Listen) {
-                let seq = s.snd_nxt;
-                self.send_rst_to(raddr, s.local_port, rport, seq, 0, false);
-            }
-        }
-        self.destroy(sock);
-    }
-
-    /// Drop all bookkeeping for a socket (app acknowledges Closed/Failed).
-    pub fn release(&mut self, sock: SockId) {
-        self.destroy(sock);
-    }
-
     fn destroy(&mut self, sock: SockId) {
         if let Some(s) = self.sockets.remove(&sock) {
             if let Ok(i) = self.sock_ids.binary_search(&sock) {
@@ -620,9 +534,6 @@ impl TcpStack {
             }
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
-            }
-            if s.state == TcpState::Listen {
-                self.listeners.remove(&s.local_port);
             }
         }
     }
@@ -634,10 +545,7 @@ impl TcpStack {
     /// Earliest pending deadline across all sockets, if any. The host glue
     /// keeps exactly one interrupt armed at this instant.
     pub fn next_deadline(&self) -> Option<LocalNs> {
-        self.sockets
-            .values()
-            .flat_map(|s| s.rtx_deadline.into_iter().chain(s.time_wait_deadline))
-            .min()
+        self.sockets.values().filter_map(|s| s.rtx_deadline).min()
     }
 
     /// Fire all deadlines ≤ `now`, socket by socket in id order.
@@ -651,16 +559,6 @@ impl TcpStack {
     }
 
     fn fire_due(&mut self, now: LocalNs, id: SockId) {
-        let Some(s) = self.sockets.get(&id) else {
-            return;
-        };
-        if let Some(d) = s.time_wait_deadline {
-            if d <= now {
-                self.push_event(id, SockEvent::Closed);
-                self.destroy(id);
-                return;
-            }
-        }
         let Some(s) = self.sockets.get(&id) else {
             return;
         };
@@ -709,11 +607,7 @@ impl TcpStack {
                 push_note(&mut self.notes, TcpNote::Retransmit);
                 self.emit_segment(sock, isn, TcpFlags::SYN_ACK, Bytes::new());
             }
-            TcpState::Established
-            | TcpState::FinWait1
-            | TcpState::Closing
-            | TcpState::CloseWait
-            | TcpState::LastAck => {
+            TcpState::Established => {
                 if s.retries >= cfg.max_data_retries {
                     // The LSC failure mode: a peer stayed silent (e.g. paused
                     // in a skewed checkpoint) past the retry budget.
@@ -770,8 +664,8 @@ impl TcpStack {
             }
         }
         self.push_event(sock, SockEvent::Failed(err));
-        // Keep the socket around (Closed, with error) until the app releases
-        // it, so the app can observe the error.
+        // Keep the socket around (Closed, with error) so the app can observe
+        // the error.
         if let Some(s) = self.sockets.get(&sock) {
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
@@ -807,8 +701,6 @@ impl TcpStack {
             wnd,
             payload,
         };
-        self.counters.segs_sent += 1;
-        self.counters.bytes_sent += seg.payload.len() as u64;
         self.out.push(StackOutput::Packet(Packet {
             src: self.local_addr,
             dst: raddr,
@@ -825,13 +717,10 @@ impl TcpStack {
         ack: u32,
         with_ack: bool,
     ) {
-        self.counters.resets_sent += 1;
-        self.counters.segs_sent += 1;
         let flags = TcpFlags {
             rst: true,
             ack: with_ack,
             syn: false,
-            fin: false,
         };
         self.out.push(StackOutput::Packet(Packet {
             src: self.local_addr,
@@ -852,22 +741,15 @@ impl TcpStack {
         self.out.push(StackOutput::Event(sock, ev));
     }
 
-    /// Send as much queued data as the windows allow; manage FIN emission
-    /// and the retransmit timer.
+    /// Send as much queued data as the windows allow; manage the
+    /// retransmit timer.
     fn pump(&mut self, now: LocalNs, sock: SockId) {
         let cfg = self.cfg;
         loop {
             let Some(s) = self.sockets.get_mut(&sock) else {
                 return;
             };
-            if !matches!(
-                s.state,
-                TcpState::Established
-                    | TcpState::CloseWait
-                    | TcpState::FinWait1
-                    | TcpState::LastAck
-                    | TcpState::Closing
-            ) {
+            if s.state != TcpState::Established {
                 return;
             }
             let unsent = s.send_q.len() as u32 - s.flight().min(s.send_q.len() as u32);
@@ -906,30 +788,11 @@ impl TcpStack {
                 self.emit_segment(sock, seq, TcpFlags::ACK, chunk);
                 continue;
             }
-
-            // FIN once every byte is out.
-            if s.fin_queued && s.fin_seq.is_none() && unsent == 0 {
-                let seq = s.snd_nxt;
-                s.fin_seq = Some(seq);
-                s.snd_nxt = s.snd_nxt.wrapping_add(1);
-                if seq_gt(s.snd_nxt, s.snd_max) {
-                    s.snd_max = s.snd_nxt;
-                }
-                if s.rtx_deadline.is_none() {
-                    s.rto_ns = if s.rto_ns == 0 {
-                        RTO_INITIAL_NS
-                    } else {
-                        s.rto_ns
-                    };
-                    s.rtx_deadline = Some(now + s.rto_ns);
-                }
-                self.emit_segment(sock, seq, TcpFlags::FIN_ACK, Bytes::new());
-            }
             return;
         }
     }
 
-    /// Retransmit one MSS (or the FIN) from `snd_una`.
+    /// Retransmit one MSS from `snd_una`.
     fn retransmit_head(&mut self, sock: SockId) {
         let cfg = self.cfg;
         let Some(s) = self.sockets.get_mut(&sock) else {
@@ -942,10 +805,6 @@ impl TcpStack {
             let chunk = s.send_q.slice(0, take);
             let seq = s.snd_una;
             self.emit_segment(sock, seq, TcpFlags::ACK, chunk);
-        } else if let Some(fseq) = s.fin_seq {
-            if seq_ge(fseq, s.snd_una) {
-                self.emit_segment(sock, fseq, TcpFlags::FIN_ACK, Bytes::new());
-            }
         } else {
             // Nothing outstanding after all (e.g. raced with an ACK).
             s.rtx_deadline = None;
@@ -983,7 +842,6 @@ impl TcpStack {
 
     /// Entry point for a segment delivered by the fabric.
     pub fn on_segment(&mut self, now: LocalNs, src: Addr, seg: TcpSegment) {
-        self.counters.segs_received += 1;
         let key: ConnKey = (seg.dst_port, src, seg.src_port);
         if let Some(&sock) = self.conns.get(&key) {
             self.on_conn_segment(now, sock, src, seg);
@@ -1033,11 +891,9 @@ impl TcpStack {
         if seg.flags.rst {
             // Acceptable if the seq is in window (we are lenient: any RST
             // for a known connection kills it; sim has no attackers).
-            self.counters.resets_received += 1;
             s.error = Some(TcpError::Reset);
             s.state = TcpState::Closed;
             s.rtx_deadline = None;
-            s.time_wait_deadline = None;
             let ev = SockEvent::Failed(TcpError::Reset);
             self.counters.conns_aborted += 1;
             push_note(&mut self.notes, TcpNote::ConnAborted);
@@ -1112,7 +968,7 @@ impl TcpStack {
 
         // Out-of-window bare segments (stale retransmissions of pure ACKs) elicit a fresh ACK so the sender
         // learns we are alive (RFC 793 "not acceptable ⇒ send an ACK").
-        if seg.payload.is_empty() && !seg.flags.fin {
+        if seg.payload.is_empty() {
             let Some(s) = self.sockets.get(&sock) else {
                 return;
             };
@@ -1128,9 +984,9 @@ impl TcpStack {
             self.process_ack(now, sock, &seg);
         }
 
-        // ---- payload + FIN ----
-        if !seg.payload.is_empty() || seg.flags.fin {
-            self.process_data(now, sock, seg);
+        // ---- payload ----
+        if !seg.payload.is_empty() {
+            self.process_data(sock, seg);
         }
     }
 
@@ -1154,7 +1010,7 @@ impl TcpStack {
                 s.snd_nxt = ack;
             }
             let newly_acked = ack.wrapping_sub(s.snd_una);
-            // Consume acked bytes from the queue (FIN consumes seq but no bytes).
+            // Consume acked bytes from the queue.
             let data_acked = (newly_acked as usize).min(s.send_q.len());
             s.send_q.advance(data_acked);
             s.snd_una = ack;
@@ -1193,38 +1049,8 @@ impl TcpStack {
                 s.cwnd += (cfg.mss as f64) * (cfg.mss as f64) / s.cwnd; // CA
             }
 
-            // FIN acked?
-            if let Some(fseq) = s.fin_seq {
-                if seq_gt(ack, fseq) {
-                    match s.state {
-                        TcpState::FinWait1 => {
-                            s.state = TcpState::FinWait2;
-                        }
-                        TcpState::Closing => {
-                            s.state = TcpState::TimeWait;
-                            s.time_wait_deadline = Some(now + TIME_WAIT_NS);
-                            s.rtx_deadline = None;
-                        }
-                        TcpState::LastAck => {
-                            s.state = TcpState::Closed;
-                            s.rtx_deadline = None;
-                            let lport = s.local_port;
-                            if let Some((raddr, rport)) = s.remote {
-                                self.conns.remove(&(lport, raddr, rport));
-                            }
-                            self.push_event(sock, SockEvent::Closed);
-                            // fall through to timer maintenance below
-                        }
-                        _ => {}
-                    }
-                }
-            }
-
-            let Some(s) = self.sockets.get_mut(&sock) else {
-                return;
-            };
             // Timer maintenance: restart if data remains in flight.
-            if s.flight() == 0 && s.fin_seq.is_none_or(|f| seq_lt(f, s.snd_una)) {
+            if s.flight() == 0 {
                 s.rtx_deadline = None;
             } else if s.rtx_deadline.is_some() {
                 s.rtx_deadline = Some(now + s.rto_ns);
@@ -1270,95 +1096,62 @@ impl TcpStack {
         }
     }
 
-    fn process_data(&mut self, now: LocalNs, sock: SockId, seg: TcpSegment) {
+    /// Take in a segment's payload (never empty: the caller checks).
+    fn process_data(&mut self, sock: SockId, seg: TcpSegment) {
         let cfg = self.cfg;
         let Some(s) = self.sockets.get_mut(&sock) else {
             return;
         };
         let mut advanced = false;
-        let mut delivered_bytes: u64 = 0;
-        let mut got_fin_now = false;
 
         let seq = seg.seq;
         let payload = seg.payload;
-        let fin = seg.flags.fin;
         let end = seq.wrapping_add(payload.len() as u32);
 
-        if !payload.is_empty() {
-            if seq_le(end, s.rcv_nxt) {
-                // Entirely old: pure duplicate.
-                self.counters.dup_segments += 1;
+        if seq_le(end, s.rcv_nxt) {
+            // Entirely old: pure duplicate.
+            self.counters.dup_segments += 1;
+        } else {
+            // Trim any already-received prefix.
+            let (start_seq, data) = if seq_lt(seq, s.rcv_nxt) {
+                let skip = s.rcv_nxt.wrapping_sub(seq) as usize;
+                (s.rcv_nxt, payload.slice(skip..))
             } else {
-                // Trim any already-received prefix.
-                let (start_seq, data) = if seq_lt(seq, s.rcv_nxt) {
-                    let skip = s.rcv_nxt.wrapping_sub(seq) as usize;
-                    (s.rcv_nxt, payload.slice(skip..))
-                } else {
-                    (seq, payload.clone())
-                };
-                // Respect our advertised buffer: drop overflow bytes.
-                let space = cfg.recv_buf.saturating_sub(s.recv_q.len() + s.ooo_bytes());
-                let data = if data.len() > space {
-                    data.slice(..space)
-                } else {
-                    data
-                };
-                if !data.is_empty() {
-                    if start_seq == s.rcv_nxt {
-                        let n = data.len();
-                        s.recv_q.push_bytes(data);
-                        s.rcv_nxt = s.rcv_nxt.wrapping_add(n as u32);
-                        delivered_bytes += n as u64;
-                        advanced = true;
-                        // Pull contiguous out-of-order segments.
-                        while let Some((&oseq, _)) = s.ooo.iter().next() {
-                            if seq_gt(oseq, s.rcv_nxt) {
-                                break;
-                            }
-                            let (oseq, obytes) = s.ooo.pop_first().unwrap();
-                            let oend = oseq.wrapping_add(obytes.len() as u32);
-                            if seq_le(oend, s.rcv_nxt) {
-                                continue; // fully duplicate
-                            }
-                            let skip = s.rcv_nxt.wrapping_sub(oseq) as usize;
-                            let fresh = obytes.slice(skip..);
-                            let fresh_len = fresh.len();
-                            s.recv_q.push_bytes(fresh);
-                            s.rcv_nxt = s.rcv_nxt.wrapping_add(fresh_len as u32);
-                            delivered_bytes += fresh_len as u64;
+                (seq, payload)
+            };
+            // Respect our advertised buffer: drop overflow bytes.
+            let space = cfg.recv_buf.saturating_sub(s.recv_q.len() + s.ooo_bytes());
+            let data = if data.len() > space {
+                data.slice(..space)
+            } else {
+                data
+            };
+            if !data.is_empty() {
+                if start_seq == s.rcv_nxt {
+                    let n = data.len();
+                    s.recv_q.push_bytes(data);
+                    s.rcv_nxt = s.rcv_nxt.wrapping_add(n as u32);
+                    advanced = true;
+                    // Pull contiguous out-of-order segments.
+                    while let Some((&oseq, _)) = s.ooo.iter().next() {
+                        if seq_gt(oseq, s.rcv_nxt) {
+                            break;
                         }
-                    } else {
-                        // Out of order: stash (keyed by start; last write wins).
-                        s.ooo.insert(start_seq, data);
+                        let (oseq, obytes) = s.ooo.pop_first().unwrap();
+                        let oend = oseq.wrapping_add(obytes.len() as u32);
+                        if seq_le(oend, s.rcv_nxt) {
+                            continue; // fully duplicate
+                        }
+                        let skip = s.rcv_nxt.wrapping_sub(oseq) as usize;
+                        let fresh = obytes.slice(skip..);
+                        let fresh_len = fresh.len();
+                        s.recv_q.push_bytes(fresh);
+                        s.rcv_nxt = s.rcv_nxt.wrapping_add(fresh_len as u32);
                     }
+                } else {
+                    // Out of order: stash (keyed by start; last write wins).
+                    s.ooo.insert(start_seq, data);
                 }
-            }
-        }
-
-        // FIN handling: only consumable when all data before it arrived.
-        if fin {
-            let fin_seq = end; // FIN sits after the payload
-            if !s.peer_fin && fin_seq == s.rcv_nxt {
-                s.rcv_nxt = s.rcv_nxt.wrapping_add(1);
-                s.peer_fin = true;
-                got_fin_now = true;
-            }
-        }
-
-        // State transitions driven by the peer's FIN.
-        if got_fin_now {
-            match s.state {
-                TcpState::Established => s.state = TcpState::CloseWait,
-                TcpState::FinWait1 => {
-                    // Our FIN not yet acked: simultaneous close.
-                    s.state = TcpState::Closing;
-                }
-                TcpState::FinWait2 => {
-                    s.state = TcpState::TimeWait;
-                    s.time_wait_deadline = Some(now + TIME_WAIT_NS);
-                    s.rtx_deadline = None;
-                }
-                _ => {}
             }
         }
 
@@ -1376,12 +1169,8 @@ impl TcpStack {
         let snd_nxt = s.snd_nxt;
         self.emit_segment(sock, snd_nxt, TcpFlags::ACK, Bytes::new());
 
-        self.counters.bytes_received += delivered_bytes;
         if advanced {
             self.push_event(sock, SockEvent::Readable);
-        }
-        if got_fin_now {
-            self.push_event(sock, SockEvent::PeerClosed);
         }
     }
 }

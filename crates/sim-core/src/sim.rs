@@ -214,14 +214,6 @@ impl<W> Sim<W> {
         EventHandle(self.queue.push(at, Box::new(f)))
     }
 
-    /// Schedule `f` to run as the next event at the current instant.
-    pub fn schedule_now<F>(&mut self, f: F) -> EventHandle
-    where
-        F: FnOnce(&mut Sim<W>) + 'static,
-    {
-        EventHandle(self.queue.push(self.now, Box::new(f)))
-    }
-
     /// Cancel a scheduled event. Cancelling an already-fired or already-
     /// cancelled event is a no-op.
     pub fn cancel(&mut self, h: EventHandle) {
@@ -339,7 +331,7 @@ mod tests {
                 sim.schedule_in(SimDuration::from_secs(1), tick);
             }
         }
-        sim.schedule_now(tick);
+        sim.schedule_in(SimDuration::ZERO, tick);
         sim.run_to_completion(1000);
         assert_eq!(sim.world.ticks, 5);
         assert_eq!(sim.now(), SimTime::from_secs_f64(4.0));
@@ -390,9 +382,9 @@ mod tests {
     fn event_budget_guards_livelock() {
         let mut sim = Sim::new(World::default(), 1);
         fn forever(sim: &mut Sim<World>) {
-            sim.schedule_now(forever);
+            sim.schedule_in(SimDuration::ZERO, forever);
         }
-        sim.schedule_now(forever);
+        sim.schedule_in(SimDuration::ZERO, forever);
         assert_eq!(sim.run_to_completion(100), StopReason::EventBudget);
         assert_eq!(sim.events_executed(), 100);
     }

@@ -1,31 +1,11 @@
 //! Statistics collection for models and experiment harnesses.
 //!
-//! * [`Counter`] — monotonically increasing event counts.
 //! * [`OnlineStats`] — Welford single-pass mean/variance (no sample storage).
 //! * [`Histogram`] — stores samples for exact quantiles; the experiment
 //!   campaigns are small enough (≤ millions of samples) that exact quantiles
 //!   beat the complexity of a sketch.
 
 use std::fmt;
-
-/// A monotonically increasing counter.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
 
 /// Welford's online mean/variance accumulator.
 #[derive(Clone, Copy, Default, Debug)]
@@ -228,14 +208,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn online_stats_match_naive() {

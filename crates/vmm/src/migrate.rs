@@ -57,9 +57,6 @@ impl PrecopyPlan {
     pub fn total_bytes(&self) -> u64 {
         self.round_bytes.iter().sum::<u64>() + self.final_bytes
     }
-    pub fn total_time(&self) -> SimDuration {
-        self.live_time + self.downtime
-    }
 }
 
 /// Plan a pre-copy migration.
@@ -135,7 +132,8 @@ mod tests {
         }
         assert!(plan.final_bytes <= p.stop_threshold_bytes);
         // Downtime ≪ total: that's the point of live migration.
-        assert!(plan.downtime.as_secs_f64() < 0.05 * plan.total_time().as_secs_f64());
+        let total = plan.live_time + plan.downtime;
+        assert!(plan.downtime.as_secs_f64() < 0.05 * total.as_secs_f64());
     }
 
     #[test]
@@ -171,6 +169,7 @@ mod tests {
     fn total_time_is_consistent() {
         let plan = plan_precopy(PrecopyParams::default());
         let sum = plan.total_bytes() as f64 / PrecopyParams::default().link_bps;
-        assert!((plan.total_time().as_secs_f64() - sum).abs() < 1e-6);
+        let total = plan.live_time + plan.downtime;
+        assert!((total.as_secs_f64() - sum).abs() < 1e-6);
     }
 }

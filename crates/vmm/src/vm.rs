@@ -153,19 +153,6 @@ impl Vm {
         self.epoch += 1;
     }
 
-    /// Replace the guest with a saved image and resume (restore path). The
-    /// domain may live on a different physical node than the image's origin.
-    /// Callers are expected to [`VmImage::verify`] first — restoring a
-    /// corrupt image is how silent storage rot becomes a crashed guest.
-    pub fn restore_from(&mut self, image: &VmImage) {
-        self.mem_mb = image.mem_mb;
-        self.vcpus = image.vcpus;
-        self.overhead = image.overhead;
-        self.guest = image.guest.clone();
-        self.state = VmState::Running;
-        self.epoch += 1;
-    }
-
     pub fn destroy(&mut self) {
         self.state = VmState::Dead;
         self.epoch += 1;
@@ -264,13 +251,11 @@ mod tests {
         v.resume();
         assert!(v.is_running());
 
-        // Mutate guest, then roll back via the image.
+        // Mutate guest: the image keeps the state a restore rolls back to.
         v.guest.log_kmsg(0, "after snapshot");
         assert_eq!(v.guest.kmsg.len(), 1);
+        assert_eq!(img.guest.kmsg.len(), 0, "image is a deep copy");
         v.pause();
-        v.restore_from(&img);
-        assert!(v.is_running());
-        assert_eq!(v.guest.kmsg.len(), 0, "rolled back");
         assert_eq!(v.pause_count, 2);
     }
 
