@@ -530,24 +530,25 @@ pub fn poll_proc(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize) {
     drain_vm(sim, vm);
 }
 
-/// Wake all `Blocked` processes of a guest (socket events arrived).
+/// Wake all `Blocked` processes of a guest (socket events arrived), in
+/// process order. Scheduling a poll changes no process state, so each
+/// process is checked as the walk reaches it.
 pub(crate) fn wake_blocked_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
-    let blocked: Vec<usize> = {
-        let Some(v) = sim.world.vm(vm) else { return };
-        if !v.is_running() {
-            return;
-        }
-        v.guest
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state == ProcState::Blocked)
-            .map(|(i, _)| i)
-            .collect()
+    let blocked = |sim: &Sim<ClusterWorld>, idx: usize| {
+        sim.world
+            .vm(vm)
+            .and_then(|v| v.guest.procs.get(idx))
+            .is_some_and(|p| p.state == ProcState::Blocked)
+    };
+    let procs = match sim.world.vm(vm) {
+        Some(v) if v.is_running() => v.guest.procs.len(),
+        _ => return,
     };
     let now = sim.now();
-    for idx in blocked {
-        schedule_poll_at(sim, vm, idx, now);
+    for idx in 0..procs {
+        if blocked(sim, idx) {
+            schedule_poll_at(sim, vm, idx, now);
+        }
     }
 }
 

@@ -75,10 +75,9 @@ pub struct MpiRuntime {
     gflops: f64,
     phase: Phase,
     listener: Option<SockId>,
-    peers: FastMap<usize, PeerConn>,
-    /// The keys of `peers`, ascending: the progress engine walks peers in
-    /// rank order so map order never reaches event order.
-    peer_order: Vec<usize>,
+    /// Connections by peer rank, sorted by rank: the progress engine walks
+    /// them by index, so it serves peers in rank order.
+    peers: Vec<(usize, PeerConn)>,
     /// Every active open toward a lower rank has been made.
     dialed: bool,
     /// Ranks this rank communicates with (None = all). A sparse hint keeps
@@ -114,8 +113,7 @@ impl MpiRuntime {
             gflops,
             phase: Phase::Connecting,
             listener: None,
-            peers: FastMap::default(),
-            peer_order: Vec::new(),
+            peers: Vec::new(),
             dialed: false,
             peer_hint: None,
             pending_accepts: Vec::new(),
@@ -149,12 +147,27 @@ impl MpiRuntime {
             .chain(all.filter(move |&r| r != self.rank))
     }
 
-    /// The connection to `rank`, created (and ordered) on first use.
+    /// The connection to `rank`, if it exists.
+    fn peer(&self, rank: usize) -> Option<&PeerConn> {
+        let i = self.peers.binary_search_by_key(&rank, |p| p.0).ok()?;
+        Some(&self.peers[i].1)
+    }
+
+    /// The index in `peers` of the connection to `rank`, created (in rank
+    /// order) on first use.
+    fn peer_index(&mut self, rank: usize) -> usize {
+        self.peers
+            .binary_search_by_key(&rank, |p| p.0)
+            .unwrap_or_else(|at| {
+                self.peers.insert(at, (rank, PeerConn::default()));
+                at
+            })
+    }
+
+    /// The connection to `rank`, created on first use.
     fn peer_mut(&mut self, rank: usize) -> &mut PeerConn {
-        if let Err(at) = self.peer_order.binary_search(&rank) {
-            self.peer_order.insert(at, rank);
-        }
-        self.peers.entry(rank).or_default()
+        let i = self.peer_index(rank);
+        &mut self.peers[i].1
     }
 
     pub fn failure(&self) -> Option<&str> {
@@ -201,10 +214,10 @@ impl MpiRuntime {
         self.peer_mut(to).tx.push_bytes(framed.freeze());
     }
 
-    /// Parse complete frames out of a peer's reassembly buffer.
-    fn parse_frames(&mut self, from: usize) {
+    /// Parse complete frames out of the reassembly buffer of `peers[i]`.
+    fn parse_frames(&mut self, i: usize) {
         loop {
-            let peer = self.peers.entry(from).or_default();
+            let peer = &mut self.peers[i].1;
             let rxlen = peer.rx.len();
             if rxlen < HDR {
                 return;
@@ -282,16 +295,16 @@ impl MpiRuntime {
         }
         for &(i, src) in identified.iter().rev() {
             let (sock, buf) = self.pending_accepts.remove(i);
-            let peer = self.peer_mut(src);
+            let p = self.peer_index(src);
+            let peer = &mut self.peers[p].1;
             peer.sock = Some(sock);
             peer.rx.extend_from_slice(&buf[HDR..]);
-            self.parse_frames(src);
+            self.parse_frames(p);
         }
 
         // Per-peer error checks, reads and tx flushing, in rank order.
-        for i in 0..self.peer_order.len() {
-            let r = self.peer_order[i];
-            let peer = &self.peers[&r];
+        for i in 0..self.peers.len() {
+            let (r, ref peer) = self.peers[i];
             let Some(sock) = peer.sock else {
                 continue;
             };
@@ -307,15 +320,13 @@ impl MpiRuntime {
             if peer.tx.is_empty() && ctx.tcp.readable_bytes(sock) == 0 {
                 continue;
             }
-            {
-                let peer = self.peers.get_mut(&r).unwrap();
-                ctx.tcp.recv_into(ctx.now, sock, &mut peer.rx, usize::MAX);
-            }
-            self.parse_frames(r);
+            ctx.tcp
+                .recv_into(ctx.now, sock, &mut self.peers[i].1.rx, usize::MAX);
+            self.parse_frames(i);
             // Flush queued tx chunks (only possible once established). The
             // chunks pass to the stack's send queue without being copied.
             if ctx.tcp.state(sock) == Some(TcpState::Established) {
-                let peer = self.peers.get_mut(&r).unwrap();
+                let peer = &mut self.peers[i].1;
                 while !peer.tx.is_empty() {
                     let cap = ctx.tcp.send_capacity(sock);
                     if cap == 0 {
@@ -340,7 +351,7 @@ impl MpiRuntime {
     /// compute slice sit on an unsent hello and starve the peer.
     fn mesh_ready(&self, ctx: &mut GuestCtx<'_>) -> bool {
         self.peer_ranks().all(|r| {
-            self.peers.get(&r).is_some_and(|p| {
+            self.peer(r).is_some_and(|p| {
                 p.tx.is_empty()
                     && p.sock
                         .is_some_and(|sock| ctx.tcp.state(sock) == Some(TcpState::Established))
@@ -349,7 +360,7 @@ impl MpiRuntime {
     }
 
     fn tx_drained(&self) -> bool {
-        self.peers.values().all(|p| p.tx.is_empty())
+        self.peers.iter().all(|(_, p)| p.tx.is_empty())
     }
 
     /// Execute script ops until one blocks/yields.
@@ -569,14 +580,15 @@ mod tests {
         let payload = Value::F64(2.5).encode().to_vec();
         let mut f = frame(&runtime(1, 2), 9, &payload);
         let second_half = f.split_off(7);
-        rt.peer_mut(1).rx.extend_from_slice(&f);
-        rt.parse_frames(1);
+        let p = rt.peer_index(1);
+        rt.peers[p].1.rx.extend_from_slice(&f);
+        rt.parse_frames(p);
         assert!(rt.inbox.is_empty(), "partial frame must not parse");
-        rt.peer_mut(1).rx.extend_from_slice(&second_half);
-        rt.parse_frames(1);
+        rt.peers[p].1.rx.extend_from_slice(&second_half);
+        rt.parse_frames(p);
         let msg = rt.inbox.get_mut(&(1, 9)).unwrap().pop_front().unwrap();
         assert_eq!(Value::decode(&msg).unwrap(), Value::F64(2.5));
-        assert!(rt.peers[&1].rx.is_empty());
+        assert!(rt.peer(1).unwrap().rx.is_empty());
     }
 
     /// Deliver `from`'s queued packets to `to`; false when there were none.
@@ -626,7 +638,7 @@ mod tests {
         shuttle(&mut remote, &mut os.tcp);
         pump(&mut rt, &mut os).expect("identify");
         shuttle(&mut remote, &mut os.tcp);
-        assert!(rt.peers[&1].sock.is_some(), "rank 1 not identified");
+        assert!(rt.peer(1).unwrap().sock.is_some(), "rank 1 not identified");
         os.tcp.out.clear();
         (rt, os, remote, sock)
     }
@@ -642,12 +654,12 @@ mod tests {
         os.tcp.out.clear();
 
         // Nothing readable, nothing to send, half a frame buffered.
-        let local = rt.peers[&1].sock.unwrap();
+        let local = rt.peer(1).unwrap().sock.unwrap();
         assert_eq!(os.tcp.readable_bytes(local), 0);
-        assert!(rt.peers[&1].tx.is_empty());
+        assert!(rt.peer(1).unwrap().tx.is_empty());
         pump(&mut rt, &mut os).expect("idle pump");
         assert!(os.tcp.out.is_empty(), "idle pump emitted {:?}", os.tcp.out);
-        assert_eq!(rt.peers[&1].rx, f[..7]);
+        assert_eq!(rt.peer(1).unwrap().rx, f[..7]);
         assert!(rt.inbox.is_empty());
 
         // The rest of the frame completes it.
@@ -662,7 +674,7 @@ mod tests {
     fn errored_idle_peer_still_fails_the_pump() {
         let (mut rt, mut os, remote, sock) = connected_pair();
         // Rank 1's end resets the connection.
-        let local = rt.peers[&1].sock.unwrap();
+        let local = rt.peer(1).unwrap().sock.unwrap();
         let (src, src_port) = os.tcp.peer_of(local).unwrap();
         let (_, dst_port) = remote.peer_of(sock).unwrap();
         let rst = TcpSegment {
@@ -677,7 +689,7 @@ mod tests {
         os.tcp.on_segment(0, src, rst);
         assert!(os.tcp.error(local).is_some(), "reset not seen");
         assert_eq!(os.tcp.readable_bytes(local), 0);
-        assert!(rt.peers[&1].tx.is_empty());
+        assert!(rt.peer(1).unwrap().tx.is_empty());
         let err = pump(&mut rt, &mut os).unwrap_err();
         assert!(err.contains("connection to rank 1 failed"), "{err}");
     }
@@ -688,10 +700,10 @@ mod tests {
         let framed = rt.frame_value(4, &Value::U64(7));
         let len = framed.len();
         rt.post(1, 4, framed);
-        let local = rt.peers[&1].sock.unwrap();
+        let local = rt.peer(1).unwrap().sock.unwrap();
         assert_eq!(os.tcp.readable_bytes(local), 0);
         pump(&mut rt, &mut os).expect("flush");
-        assert!(rt.peers[&1].tx.is_empty());
+        assert!(rt.peer(1).unwrap().tx.is_empty());
         let sent: usize = os
             .tcp
             .out
@@ -715,7 +727,8 @@ mod tests {
             let framed = rt.frame_value(1, &Value::U64(r as u64));
             rt.post(r, 1, framed);
         }
-        assert_eq!(rt.peer_order, vec![1, 3, 5]);
+        let ranks = |rt: &MpiRuntime| rt.peers.iter().map(|p| p.0).collect::<Vec<_>>();
+        assert_eq!(ranks(&rt), vec![1, 3, 5]);
 
         let mut os = GuestOs::new(Addr::Virt(VirtAddr(0)), TcpConfig::default());
         let mut remote = TcpStack::new(Addr::Virt(VirtAddr(1)), TcpConfig::default());
@@ -736,10 +749,11 @@ mod tests {
 
         // One pump identifies the three peers and flushes their frames.
         pump(&mut rt, &mut os).expect("pump");
+        assert_eq!(ranks(&rt), vec![1, 3, 5]);
         let port_rank: Vec<(u16, usize)> = rt
-            .peer_order
+            .peers
             .iter()
-            .map(|&r| (os.tcp.peer_of(rt.peers[&r].sock.unwrap()).unwrap().1, r))
+            .map(|(r, p)| (os.tcp.peer_of(p.sock.unwrap()).unwrap().1, *r))
             .collect();
         let flushed: Vec<usize> = os
             .tcp

@@ -299,20 +299,50 @@ impl Socket {
     }
 }
 
+/// Sockets by id: slot `id` holds socket `id` until it is destroyed. Ids
+/// start at 1 (slot 0 stays empty) and are never reused, so allocation
+/// appends and walking the slots visits ids in ascending order.
+#[derive(Clone, Debug)]
+struct SockTable(Vec<Option<Socket>>);
+
+impl SockTable {
+    fn get(&self, id: SockId) -> Option<&Socket> {
+        self.0.get(id as usize)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: SockId) -> Option<&mut Socket> {
+        self.0.get_mut(id as usize)?.as_mut()
+    }
+
+    fn insert(&mut self, s: Socket) -> SockId {
+        self.0.push(Some(s));
+        (self.0.len() - 1) as SockId
+    }
+
+    fn remove(&mut self, id: SockId) -> Option<Socket> {
+        self.0.get_mut(id as usize)?.take()
+    }
+
+    /// One past the largest id ever allocated.
+    fn end(&self) -> SockId {
+        self.0.len() as SockId
+    }
+
+    fn live(&self) -> impl Iterator<Item = &Socket> {
+        self.0.iter().flatten()
+    }
+}
+
 /// A per-host (or per-guest) TCP stack.
 #[derive(Clone, Debug)]
 pub struct TcpStack {
     cfg: TcpConfig,
     local_addr: Addr,
-    sockets: FastMap<SockId, Socket>,
-    /// The keys of `sockets`, ascending (ids are never reused, so
-    /// allocation appends). Timers walk this, never the map.
-    sock_ids: Vec<SockId>,
+    sockets: SockTable,
     listeners: FastMap<u16, SockId>,
     /// Established-but-unaccepted connections per listener.
     accept_q: FastMap<SockId, VecDeque<SockId>>,
     conns: FastMap<ConnKey, SockId>,
-    next_sock: SockId,
     next_ephemeral: u16,
     isn: u32,
     /// Outputs pending drain by the host glue.
@@ -327,12 +357,10 @@ impl TcpStack {
         TcpStack {
             cfg,
             local_addr,
-            sockets: FastMap::default(),
-            sock_ids: Vec::new(),
+            sockets: SockTable(vec![None]),
             listeners: FastMap::default(),
             accept_q: FastMap::default(),
             conns: FastMap::default(),
-            next_sock: 1,
             next_ephemeral: 40_000,
             isn: 10_000,
             out: Vec::new(),
@@ -353,23 +381,15 @@ impl TcpStack {
     }
 
     pub fn state(&self, sock: SockId) -> Option<TcpState> {
-        self.sockets.get(&sock).map(|s| s.state)
+        self.sockets.get(sock).map(|s| s.state)
     }
 
     pub fn error(&self, sock: SockId) -> Option<TcpError> {
-        self.sockets.get(&sock).and_then(|s| s.error)
+        self.sockets.get(sock).and_then(|s| s.error)
     }
 
     pub fn socket_count(&self) -> usize {
-        self.sockets.len()
-    }
-
-    fn alloc_sock(&mut self, s: Socket) -> SockId {
-        let id = self.next_sock;
-        self.next_sock += 1;
-        self.sockets.insert(id, s);
-        self.sock_ids.push(id);
-        id
+        self.sockets.live().count()
     }
 
     fn next_isn(&mut self) -> u32 {
@@ -401,7 +421,7 @@ impl TcpStack {
         }
         let mut s = Socket::new(port);
         s.state = TcpState::Listen;
-        let id = self.alloc_sock(s);
+        let id = self.sockets.insert(s);
         self.listeners.insert(port, id);
         Ok(id)
     }
@@ -413,7 +433,7 @@ impl TcpStack {
 
     /// The remote endpoint of a connected socket.
     pub fn peer_of(&self, sock: SockId) -> Option<(Addr, u16)> {
-        self.sockets.get(&sock).and_then(|s| s.remote)
+        self.sockets.get(sock).and_then(|s| s.remote)
     }
 
     /// Begin an active open to `remote`. Returns the socket immediately;
@@ -430,7 +450,7 @@ impl TcpStack {
         s.cwnd = self.cfg.mss as f64 * 10.0; // IW10
         s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
-        let id = self.alloc_sock(s);
+        let id = self.sockets.insert(s);
         self.conns.insert((port, remote, remote_port), id);
         self.emit_segment(id, isn, TcpFlags::SYN, Bytes::new());
         id
@@ -443,7 +463,7 @@ impl TcpStack {
     /// already own a [`Bytes`] should use [`TcpStack::send_bytes`], after
     /// which the payload is never copied again on its way to the wire.
     pub fn send(&mut self, now: LocalNs, sock: SockId, data: &[u8]) -> usize {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return 0;
         };
         if s.state != TcpState::Established {
@@ -464,7 +484,7 @@ impl TcpStack {
     /// and segmentation/retransmission emit windows into it. Returns how
     /// many bytes were accepted; `Writable` fires when space reopens.
     pub fn send_bytes(&mut self, now: LocalNs, sock: SockId, data: Bytes) -> usize {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return 0;
         };
         if s.state != TcpState::Established {
@@ -485,7 +505,7 @@ impl TcpStack {
     /// Free send-buffer space on `sock`.
     pub fn send_capacity(&self, sock: SockId) -> usize {
         self.sockets
-            .get(&sock)
+            .get(sock)
             .map_or(0, |s| self.cfg.send_buf.saturating_sub(s.send_q.len()))
     }
 
@@ -507,7 +527,7 @@ impl TcpStack {
         out: &mut Vec<u8>,
         max: usize,
     ) -> usize {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return 0;
         };
         let n = s.recv_q.pop_into(out, max);
@@ -524,14 +544,11 @@ impl TcpStack {
 
     /// Bytes ready to read without blocking.
     pub fn readable_bytes(&self, sock: SockId) -> usize {
-        self.sockets.get(&sock).map_or(0, |s| s.recv_q.len())
+        self.sockets.get(sock).map_or(0, |s| s.recv_q.len())
     }
 
     fn destroy(&mut self, sock: SockId) {
-        if let Some(s) = self.sockets.remove(&sock) {
-            if let Ok(i) = self.sock_ids.binary_search(&sock) {
-                self.sock_ids.remove(i);
-            }
+        if let Some(s) = self.sockets.remove(sock) {
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
             }
@@ -545,21 +562,20 @@ impl TcpStack {
     /// Earliest pending deadline across all sockets, if any. The host glue
     /// keeps exactly one interrupt armed at this instant.
     pub fn next_deadline(&self) -> Option<LocalNs> {
-        self.sockets.values().filter_map(|s| s.rtx_deadline).min()
+        self.sockets.live().filter_map(|s| s.rtx_deadline).min()
     }
 
     /// Fire all deadlines ≤ `now`, socket by socket in id order.
     pub fn on_timer(&mut self, now: LocalNs) {
-        let mut next = 0;
-        while let Some(&id) = self.sock_ids.get(next) {
+        // Timers never open a socket, and a destroyed one leaves its slot
+        // empty, so this visits every id once, ascending.
+        for id in 1..self.sockets.end() {
             self.fire_due(now, id);
-            // The socket may have been destroyed: resume after its id.
-            next = self.sock_ids.partition_point(|&x| x <= id);
         }
     }
 
     fn fire_due(&mut self, now: LocalNs, id: SockId) {
-        let Some(s) = self.sockets.get(&id) else {
+        let Some(s) = self.sockets.get(id) else {
             return;
         };
         if let Some(d) = s.rtx_deadline {
@@ -573,7 +589,7 @@ impl TcpStack {
         self.counters.timeouts += 1;
         push_note(&mut self.notes, TcpNote::RtoFired);
         let cfg = self.cfg;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         match s.state {
@@ -654,7 +670,7 @@ impl TcpStack {
     fn abort_with(&mut self, _now: LocalNs, sock: SockId, err: TcpError) {
         self.counters.conns_aborted += 1;
         push_note(&mut self.notes, TcpNote::ConnAborted);
-        if let Some(s) = self.sockets.get_mut(&sock) {
+        if let Some(s) = self.sockets.get_mut(sock) {
             s.error = Some(err);
             s.state = TcpState::Closed;
             s.rtx_deadline = None;
@@ -666,7 +682,7 @@ impl TcpStack {
         self.push_event(sock, SockEvent::Failed(err));
         // Keep the socket around (Closed, with error) so the app can observe
         // the error.
-        if let Some(s) = self.sockets.get(&sock) {
+        if let Some(s) = self.sockets.get(sock) {
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
             }
@@ -685,7 +701,7 @@ impl TcpStack {
     }
 
     fn emit_segment(&mut self, sock: SockId, seq: u32, flags: TcpFlags, payload: Bytes) {
-        let Some(s) = self.sockets.get(&sock) else {
+        let Some(s) = self.sockets.get(sock) else {
             return;
         };
         let Some((raddr, rport)) = s.remote else {
@@ -746,7 +762,7 @@ impl TcpStack {
     fn pump(&mut self, now: LocalNs, sock: SockId) {
         let cfg = self.cfg;
         loop {
-            let Some(s) = self.sockets.get_mut(&sock) else {
+            let Some(s) = self.sockets.get_mut(sock) else {
                 return;
             };
             if s.state != TcpState::Established {
@@ -795,7 +811,7 @@ impl TcpStack {
     /// Retransmit one MSS from `snd_una`.
     fn retransmit_head(&mut self, sock: SockId) {
         let cfg = self.cfg;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let in_flight_data = s.flight().min(s.send_q.len() as u32);
@@ -812,7 +828,7 @@ impl TcpStack {
     }
 
     fn send_window_probe(&mut self, sock: SockId) {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         if s.flight() == 0 && !s.send_q.is_empty() {
@@ -878,13 +894,13 @@ impl TcpStack {
         s.rcv_nxt = seg.seq.wrapping_add(1);
         s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
-        let id = self.alloc_sock(s);
+        let id = self.sockets.insert(s);
         self.conns.insert((seg.dst_port, src, seg.src_port), id);
         self.emit_segment(id, isn, TcpFlags::SYN_ACK, Bytes::new());
     }
 
     fn on_conn_segment(&mut self, now: LocalNs, sock: SockId, _src: Addr, seg: TcpSegment) {
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         // ---- RST ----
@@ -940,7 +956,7 @@ impl TcpStack {
                     // Fall through: the ACK may carry data.
                 } else if seg.flags.syn {
                     // Retransmitted SYN: re-send SYN-ACK.
-                    let Some(s) = self.sockets.get(&sock) else {
+                    let Some(s) = self.sockets.get(sock) else {
                         return;
                     };
                     let isn = s.snd_una;
@@ -958,7 +974,7 @@ impl TcpStack {
         // final handshake ACK was lost and the peer re-sent its SYN-ACK):
         // answer with a fresh ACK so the peer can complete.
         if seg.flags.syn {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             let snd_nxt = s.snd_nxt;
@@ -969,7 +985,7 @@ impl TcpStack {
         // Out-of-window bare segments (stale retransmissions of pure ACKs) elicit a fresh ACK so the sender
         // learns we are alive (RFC 793 "not acceptable ⇒ send an ACK").
         if seg.payload.is_empty() {
-            let Some(s) = self.sockets.get(&sock) else {
+            let Some(s) = self.sockets.get(sock) else {
                 return;
             };
             if seq_lt(seg.seq, s.rcv_nxt) {
@@ -992,7 +1008,7 @@ impl TcpStack {
 
     fn process_ack(&mut self, now: LocalNs, sock: SockId, seg: &TcpSegment) {
         let cfg = self.cfg;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let ack = seg.ack;
@@ -1086,7 +1102,7 @@ impl TcpStack {
                     self.counters.fast_retransmits += 1;
                     push_note(&mut self.notes, TcpNote::FastRetransmit);
                     self.retransmit_head(sock);
-                    if let Some(s) = self.sockets.get_mut(&sock) {
+                    if let Some(s) = self.sockets.get_mut(sock) {
                         s.rtx_deadline = Some(now + s.rto_ns);
                     }
                 }
@@ -1099,7 +1115,7 @@ impl TcpStack {
     /// Take in a segment's payload (never empty: the caller checks).
     fn process_data(&mut self, sock: SockId, seg: TcpSegment) {
         let cfg = self.cfg;
-        let Some(s) = self.sockets.get_mut(&sock) else {
+        let Some(s) = self.sockets.get_mut(sock) else {
             return;
         };
         let mut advanced = false;
@@ -1156,14 +1172,14 @@ impl TcpStack {
         }
 
         // If our receive window just hit zero, remember to update later.
-        if self.adv_wnd(self.sockets.get(&sock).unwrap()) == 0 {
-            if let Some(s) = self.sockets.get_mut(&sock) {
+        if self.adv_wnd(self.sockets.get(sock).unwrap()) == 0 {
+            if let Some(s) = self.sockets.get_mut(sock) {
                 s.wnd_was_closed = true;
             }
         }
 
         // ACK everything we have (immediate ACK policy).
-        let Some(s) = self.sockets.get(&sock) else {
+        let Some(s) = self.sockets.get(sock) else {
             return;
         };
         let snd_nxt = s.snd_nxt;

@@ -9,9 +9,15 @@
 //! horizon passes or the queue drains) and [`Sim::await_reply`] (start an
 //! operation that answers through a callback and step until it does).
 //!
-//! Cancellation uses tombstones inside the [`EventQueue`]: [`Sim::cancel`]
-//! marks a handle dead; when the dead entry surfaces it still advances the
-//! clock to its timestamp (so the engine's step timeline is identical to the
+//! Scheduling hands the queue the clock, so an event due now (a zero
+//! delay, or a `schedule_at` clamped to now) takes the [`EventQueue`]'s
+//! same-instant FIFO lane instead of a heap push and pop; the run order is
+//! the same `(time, seq)` order either way.
+//!
+//! Cancellation uses tombstones inside the queue: an [`EventHandle`] names
+//! its entry's slab slot, so [`Sim::cancel`] drops the handler at once, with
+//! no lookup. When the dead entry surfaces it still advances the clock to
+//! its timestamp (so the engine's step timeline is identical to the
 //! generation-guard scheme it replaced) but nothing is dispatched — the pop
 //! is counted as a no-op. Components that re-arm timers aggressively (the
 //! TCP stack, NTP pollers) should hold the [`EventHandle`] of their armed
@@ -22,6 +28,7 @@
 
 use crate::event::{Event, SpanEvent};
 use crate::metrics::Metrics;
+pub use crate::queue::EventHandle;
 use crate::queue::EventQueue;
 use crate::rng::RngStreams;
 use crate::span::SpanId;
@@ -53,10 +60,6 @@ pub trait EventSink {
     }
 }
 
-/// A handle to a scheduled event, usable with [`Sim::cancel`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle(u64);
-
 /// Engine-level counters for perf accounting (see [`Sim::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -64,7 +67,7 @@ pub struct SimStats {
     pub scheduled: u64,
     /// Handlers actually dispatched.
     pub executed: u64,
-    /// Cancelled entries discarded at the heap head without dispatch.
+    /// Cancelled entries discarded at the queue head without dispatch.
     pub noop_pops: u64,
     /// High-water mark of the event-queue depth.
     pub peak_queue_depth: u64,
@@ -201,8 +204,7 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        let t = at.max(self.now);
-        EventHandle(self.queue.push(t, Box::new(f)))
+        self.queue.push(self.now, at.max(self.now), Box::new(f))
     }
 
     /// Schedule `f` to run after `delay`.
@@ -210,14 +212,13 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        let at = self.now + delay;
-        EventHandle(self.queue.push(at, Box::new(f)))
+        self.queue.push(self.now, self.now + delay, Box::new(f))
     }
 
     /// Cancel a scheduled event. Cancelling an already-fired or already-
     /// cancelled event is a no-op.
     pub fn cancel(&mut self, h: EventHandle) {
-        self.queue.cancel(h.0);
+        self.queue.cancel(h);
     }
 
     /// Execute the next event, if any. Returns `false` when the queue is

@@ -1,7 +1,8 @@
 //! Property tests for the DES kernel's ordering guarantees.
 
-use dvc_sim_core::{Sim, SimTime};
+use dvc_sim_core::{EventHandle, Sim, SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 proptest! {
     /// Events fire in nondecreasing time order, and ties fire in scheduling
@@ -83,5 +84,118 @@ proptest! {
             expect += d;
             prop_assert_eq!(sim.world.fire_times[i + 1], expect);
         }
+    }
+}
+
+/// A reference event queue: one ordered map over `(time, seq)` whose value
+/// says which event it is and whether it is still live.
+#[derive(Default)]
+struct Reference {
+    pending: BTreeMap<(u64, u64), (usize, bool)>,
+    now: u64,
+    next_seq: u64,
+    fired: Vec<(u64, usize)>,
+    noop_pops: u64,
+    peak: usize,
+}
+
+impl Reference {
+    fn schedule(&mut self, at: u64, id: usize) -> (u64, u64) {
+        let key = (at.max(self.now), self.next_seq);
+        self.next_seq += 1;
+        self.pending.insert(key, (id, true));
+        self.peak = self.peak.max(self.pending.len());
+        key
+    }
+
+    fn cancel(&mut self, key: (u64, u64)) {
+        if let Some(e) = self.pending.get_mut(&key) {
+            e.1 = false;
+        }
+    }
+
+    fn step(&mut self) -> bool {
+        let Some(((t, _), (id, live))) = self.pending.pop_first() else {
+            return false;
+        };
+        self.now = t;
+        if live {
+            self.fired.push((t, id));
+        } else {
+            self.noop_pops += 1;
+        }
+        true
+    }
+
+    /// [`Sim::run`] with no event budget.
+    fn run(&mut self, horizon: u64) {
+        while let Some((&(t, _), _)) = self.pending.first_key_value() {
+            if t >= horizon {
+                self.now = horizon;
+                return;
+            }
+            self.step();
+        }
+    }
+}
+
+proptest! {
+    /// The engine replays random schedule / cancel / step / horizon-run
+    /// sequences exactly like a `(time, seq)`-ordered map: same firing
+    /// order and instants, same tombstone pops, same depth and high-water
+    /// mark. Op kinds: 0 zero-delay push (the same-instant lane, also while
+    /// the heap holds that instant), 1 push `arg` ns ahead, 2 push `arg` ns
+    /// in the past (clamped to now), 3 cancel an earlier handle (live,
+    /// cancelled or fired, its slot possibly reused), 4 one step, 5 run to
+    /// a horizon `arg` ns ahead.
+    #[test]
+    fn queue_matches_reference_order(ops in prop::collection::vec((0u8..6, 0u64..8), 1..400)) {
+        let mut sim = Sim::new(Vec::<(u64, usize)>::new(), 1);
+        let mut model = Reference::default();
+        let mut issued: Vec<(EventHandle, (u64, u64))> = Vec::new();
+        for &(kind, arg) in &ops {
+            let now = sim.now().nanos();
+            let id = issued.len();
+            let fire = move |s: &mut Sim<Vec<(u64, usize)>>| {
+                let t = s.now().nanos();
+                s.world.push((t, id));
+            };
+            let h = match kind {
+                0 => Some((sim.schedule_in(SimDuration::ZERO, fire), now)),
+                1 => Some((sim.schedule_in(SimDuration::from_nanos(arg), fire), now + arg)),
+                2 => Some((sim.schedule_at(SimTime(now.saturating_sub(arg)), fire), now.saturating_sub(arg))),
+                3 => {
+                    if let Some(&(h, key)) = issued.get((arg as usize * 7919) % issued.len().max(1)) {
+                        sim.cancel(h);
+                        model.cancel(key);
+                    }
+                    None
+                }
+                4 => {
+                    prop_assert_eq!(sim.step(), model.step());
+                    None
+                }
+                _ => {
+                    sim.run(SimTime(now + arg), u64::MAX);
+                    model.run(now + arg);
+                    None
+                }
+            };
+            if let Some((h, at)) = h {
+                issued.push((h, model.schedule(at, id)));
+            }
+            prop_assert_eq!(sim.now().nanos(), model.now);
+            prop_assert_eq!(sim.events_pending(), model.pending.len());
+            prop_assert_eq!(&sim.world, &model.fired);
+        }
+        sim.run_to_completion(u64::MAX);
+        model.run(u64::MAX);
+        prop_assert_eq!(&sim.world, &model.fired);
+        let st = sim.stats();
+        prop_assert_eq!(st.scheduled, model.next_seq);
+        prop_assert_eq!(st.executed, model.fired.len() as u64);
+        prop_assert_eq!(st.noop_pops, model.noop_pops);
+        prop_assert_eq!(st.peak_queue_depth, model.peak as u64);
+        prop_assert_eq!(sim.events_pending(), 0);
     }
 }

@@ -43,19 +43,48 @@ pub fn program(cfg: RingConfig, rank: usize, size: usize) -> (Vec<Op>, RankData)
     // Payload: rank-stamped pattern, re-stamped each lap.
     data.set(
         "ring.out",
-        Value::F64Vec(
-            (0..cfg.payload_len)
-                .map(|i| payload_elem(rank as u64, 0, i))
-                .collect(),
-        ),
+        Value::F64Vec({
+            let mut out = vec![0.0; cfg.payload_len];
+            fill_payload(&mut out, rank as u64, 0);
+            out
+        }),
     );
     let _ = size;
     (vec![Op::Marker("ring-start"), Op::Gen(step)], data)
 }
 
-/// Expected payload element for (origin rank, lap, index).
-fn payload_elem(origin: u64, lap: u64, i: usize) -> f64 {
-    (origin as f64) * 1e6 + (lap as f64) * 1e3 + (i % 997) as f64
+/// Payload element `i` of (origin rank, lap) is
+/// `origin·1e6 + lap·1e3 + (i mod PAYLOAD_RUN)`. The payload is walked in
+/// runs of `PAYLOAD_RUN` elements, so the index restarts instead of being
+/// divided, and the first two terms are summed once per lap: `a + b + c` is
+/// `(a + b) + c`, so that changes no bit.
+const PAYLOAD_RUN: usize = 997;
+
+fn lap_base(origin: u64, lap: u64) -> f64 {
+    (origin as f64) * 1e6 + (lap as f64) * 1e3
+}
+
+/// Write the payload of (origin, lap) into `out`.
+fn fill_payload(out: &mut [f64], origin: u64, lap: u64) {
+    let base = lap_base(origin, lap);
+    for run in out.chunks_mut(PAYLOAD_RUN) {
+        for (k, v) in run.iter_mut().enumerate() {
+            *v = base + (k as u32) as f64;
+        }
+    }
+}
+
+/// How many elements of `got` differ from the payload of (origin, lap).
+fn payload_errors(got: &[f64], origin: u64, lap: u64) -> usize {
+    let base = lap_base(origin, lap);
+    got.chunks(PAYLOAD_RUN)
+        .map(|run| {
+            run.iter()
+                .enumerate()
+                .filter(|&(k, &v)| v != base + (k as u32) as f64)
+                .count()
+        })
+        .sum()
 }
 
 fn step(data: &mut RankData, rank: usize, size: usize) -> Vec<Op> {
@@ -89,21 +118,13 @@ fn step(data: &mut RankData, rank: usize, size: usize) -> Vec<Op> {
 
 fn stamp_out(data: &mut RankData, rank: usize, _size: usize) {
     let lap = data.u64("ring.iter") - 1; // step already incremented it
-    let out = data.vec_f64_mut("ring.out");
-    for (i, v) in out.iter_mut().enumerate() {
-        *v = payload_elem(rank as u64, lap, i);
-    }
+    fill_payload(data.vec_f64_mut("ring.out"), rank as u64, lap);
 }
 
 fn check_in(data: &mut RankData, rank: usize, size: usize) {
     let lap = data.u64("ring.iter") - 1;
     let prev = ((rank + size - 1) % size) as u64;
-    let bad = data
-        .vec_f64("ring.in")
-        .iter()
-        .enumerate()
-        .filter(|&(i, &v)| v != payload_elem(prev, lap, i))
-        .count() as u64;
+    let bad = payload_errors(data.vec_f64("ring.in"), prev, lap) as u64;
     if bad > 0 {
         let e = data.u64("ring.errors");
         data.set("ring.errors", Value::U64(e + bad));
@@ -119,6 +140,28 @@ pub fn ring_ok(data: &RankData) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Expected payload element for (origin rank, lap, index), term by term.
+    fn payload_elem(origin: u64, lap: u64, i: usize) -> f64 {
+        (origin as f64) * 1e6 + (lap as f64) * 1e3 + (i % 997) as f64
+    }
+
+    #[test]
+    fn payload_matches_the_per_element_formula_bit_for_bit() {
+        // 2000 elements cross the 997 wrap twice.
+        for (origin, lap) in [(0, 0), (1, 0), (25, 7), (3, 511), (1023, 4095)] {
+            let mut got = vec![0.0; 2000];
+            fill_payload(&mut got, origin, lap);
+            let want: Vec<f64> = (0..2000).map(|i| payload_elem(origin, lap, i)).collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "origin {origin} lap {lap}");
+            assert_eq!(payload_errors(&want, origin, lap), 0);
+            let mut bad = want.clone();
+            bad[996] += 1.0;
+            bad[1994] = -1.0;
+            assert_eq!(payload_errors(&bad, origin, lap), 2);
+        }
+    }
 
     #[test]
     fn payload_is_origin_and_lap_dependent() {
