@@ -87,7 +87,7 @@ fn run_trace(seed: u64, spanning: bool) -> TraceResult {
                 sim.world.ext.get_or_default::<Waits>().0.push(wait);
                 // The job occupies its nodes for its duration, then ends.
                 sim.schedule_in(dur, move |sim| {
-                    rm::complete_job(sim, id, true);
+                    rm::complete_job(sim, id);
                     sim.world.ext.get_or_default::<Waits>().1 += 1;
                 });
             });

@@ -150,7 +150,10 @@ fn main() {
     if picked.is_empty() {
         picked.extend(dvc_bench::ALL_EXPERIMENTS.iter().map(|s| s.to_string()));
     }
-    picked.dedup();
+    // Run each named experiment once, at its first mention (`e3 all` runs
+    // E3 once and writes EVENTS_E3.jsonl once).
+    let mut seen = dvc_sim_core::FastSet::default();
+    picked.retain(|e| seen.insert(e.clone()));
 
     let opts = Opts {
         scale,

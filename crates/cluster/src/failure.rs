@@ -42,7 +42,6 @@ pub fn repair_node(sim: &mut Sim<ClusterWorld>, node: NodeId) {
         n.nic
     };
     sim.world.fabric.set_nic_up(nic, true);
-    sim.world.rm.note_node_up(node);
     sim.emit(Event::Rm(RmEvent::NodeUp { node: node.0 }));
 }
 

@@ -1,10 +1,11 @@
 //! The resource manager: a Torque/Moab-flavoured batch scheduler.
 //!
 //! FIFO queue with EASY backfill, node allocation that can stay within one
-//! cluster or span clusters (DVC goal 3), and failure bookkeeping. The
-//! paper's §4 names "integration with resource managers and schedulers like
-//! Torque and Moab" as required future work — this module plus
-//! `dvc-core::reliability` is that integration.
+//! cluster or span clusters (DVC goal 3), and a node crash failing the jobs
+//! running on it. E11 runs its job mix through it. The paper's §4 leaves
+//! "integration with resource managers and schedulers like Torque and Moab"
+//! to future work, and the model follows it: no virtual cluster is
+//! provisioned through this scheduler.
 
 use crate::node::{ClusterId, NodeId};
 use crate::world::ClusterWorld;
@@ -50,9 +51,7 @@ pub struct Job {
     pub id: JobId,
     pub spec: JobSpec,
     pub state: JobState,
-    pub submitted: SimTime,
     pub started: Option<SimTime>,
-    pub finished: Option<SimTime>,
     pub assigned: Vec<NodeId>,
 }
 
@@ -65,8 +64,6 @@ pub struct ResourceManager {
     busy: FastSet<NodeId>,
     launchers: FastMap<JobId, Launcher>,
     next_id: u64,
-    /// Jobs that lost a node to a crash, for the reliability layer.
-    pub failed_by_node_loss: Vec<JobId>,
 }
 
 impl Default for ResourceManager {
@@ -83,7 +80,6 @@ impl ResourceManager {
             busy: FastSet::default(),
             launchers: FastMap::default(),
             next_id: 1,
-            failed_by_node_loss: Vec::new(),
         }
     }
 
@@ -91,34 +87,19 @@ impl ResourceManager {
         self.jobs.get(&id)
     }
 
-    pub fn busy_nodes(&self) -> usize {
-        self.busy.len()
-    }
-
-    /// Called when a node crashes: running jobs that used it fail, and are
-    /// appended to [`Self::failed_by_node_loss`] in ascending id order.
+    /// Called when a node crashes: running jobs that used it fail and free
+    /// their nodes. A repaired node needs no call: the next scheduling pass
+    /// sees it up and not busy.
     pub(crate) fn note_node_down(&mut self, node: NodeId) {
         self.busy.remove(&node);
-        let mut victims: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| j.state == JobState::Running && j.assigned.contains(&node))
-            .map(|j| j.id)
-            .collect();
-        victims.sort_unstable();
-        for id in victims {
-            if let Some(j) = self.jobs.get_mut(&id) {
+        for j in self.jobs.values_mut() {
+            if j.state == JobState::Running && j.assigned.contains(&node) {
                 j.state = JobState::Failed;
                 for n in &j.assigned {
                     self.busy.remove(n);
                 }
             }
-            self.failed_by_node_loss.push(id);
         }
-    }
-
-    pub(crate) fn note_node_up(&mut self, _node: NodeId) {
-        // Nothing to do eagerly; the next try_schedule will see it free.
     }
 }
 
@@ -128,7 +109,6 @@ pub fn submit(
     spec: JobSpec,
     launcher: impl FnOnce(&mut Sim<ClusterWorld>, JobId, Vec<NodeId>) + 'static,
 ) -> JobId {
-    let now = sim.now();
     let rm = &mut sim.world.rm;
     let id = JobId(rm.next_id);
     rm.next_id += 1;
@@ -138,9 +118,7 @@ pub fn submit(
             id,
             spec,
             state: JobState::Queued,
-            submitted: now,
             started: None,
-            finished: None,
             assigned: Vec::new(),
         },
     );
@@ -296,9 +274,8 @@ fn start_job(sim: &mut Sim<ClusterWorld>, id: JobId, nodes: Vec<NodeId>) {
     }
 }
 
-/// Mark a job finished (success or failure), free its nodes, reschedule.
-pub fn complete_job(sim: &mut Sim<ClusterWorld>, id: JobId, success: bool) {
-    let now = sim.now();
+/// Mark a running job completed, free its nodes, reschedule.
+pub fn complete_job(sim: &mut Sim<ClusterWorld>, id: JobId) {
     {
         let rm = &mut sim.world.rm;
         let Some(j) = rm.jobs.get_mut(&id) else {
@@ -307,18 +284,13 @@ pub fn complete_job(sim: &mut Sim<ClusterWorld>, id: JobId, success: bool) {
         if j.state != JobState::Running {
             return;
         }
-        j.state = if success {
-            JobState::Completed
-        } else {
-            JobState::Failed
-        };
-        j.finished = Some(now);
+        j.state = JobState::Completed;
         let assigned = j.assigned.clone();
         for n in assigned {
             rm.busy.remove(&n);
         }
     }
-    sim.emit(Event::Rm(RmEvent::JobCompleted { job: id.0, success }));
+    sim.emit(Event::Rm(RmEvent::JobCompleted { job: id.0 }));
     try_schedule(sim);
 }
 
@@ -372,10 +344,10 @@ mod tests {
         );
         assert_eq!(sim.world.rm.job(a).unwrap().state, JobState::Running);
         assert_eq!(sim.world.rm.job(b).unwrap().state, JobState::Queued);
-        complete_job(&mut sim, a, true);
+        complete_job(&mut sim, a);
         assert_eq!(sim.world.rm.job(a).unwrap().state, JobState::Completed);
         assert_eq!(sim.world.rm.job(b).unwrap().state, JobState::Running);
-        assert_eq!(sim.world.rm.busy_nodes(), 3);
+        assert_eq!(sim.world.rm.busy.len(), 3);
     }
 
     #[test]
@@ -404,7 +376,7 @@ mod tests {
             JobState::Running,
             "C should backfill"
         );
-        assert_eq!(sim.world.rm.busy_nodes(), 4);
+        assert_eq!(sim.world.rm.busy.len(), 4);
     }
 
     #[test]
@@ -515,9 +487,9 @@ mod tests {
         );
         // B releases cluster 1: still only 3 free (D holds the 4th), so the
         // spanning head keeps waiting rather than starting short.
-        complete_job(&mut sim, b, true);
+        complete_job(&mut sim, b);
         assert_eq!(sim.world.rm.job(h).unwrap().state, JobState::Queued);
-        complete_job(&mut sim, d, true);
+        complete_job(&mut sim, d);
         let job_h = sim.world.rm.job(h).unwrap();
         assert_eq!(job_h.state, JobState::Running);
         let in_c1 = job_h
@@ -567,14 +539,14 @@ mod tests {
         all.extend(&sim.world.rm.job(fill1).unwrap().assigned);
         let uniq: FastSet<NodeId> = all.iter().copied().collect();
         assert_eq!(uniq.len(), all.len(), "no node is double-assigned");
-        assert_eq!(sim.world.rm.busy_nodes(), 6);
+        assert_eq!(sim.world.rm.busy.len(), 6);
         for &n in &job.assigned {
             assert!(sim.world.rm.busy.contains(&n));
         }
         // Completion frees exactly the spanning job's nodes, in both
         // clusters, so pinned jobs can start in either.
-        complete_job(&mut sim, span, true);
-        assert_eq!(sim.world.rm.busy_nodes(), 4);
+        complete_job(&mut sim, span);
+        assert_eq!(sim.world.rm.busy.len(), 4);
         let pinned = submit(
             &mut sim,
             spec(1, 10, Placement::Cluster(ClusterId(1))),
@@ -615,7 +587,7 @@ mod tests {
             JobState::Running,
             "spanning candidate must be allowed to backfill fragmented space"
         );
-        assert_eq!(sim.world.rm.busy_nodes(), 6);
+        assert_eq!(sim.world.rm.busy.len(), 6);
     }
 
     #[test]
@@ -629,14 +601,13 @@ mod tests {
         let victim = sim.world.rm.job(a).unwrap().assigned[0];
         crate::failure::crash_node(&mut sim, victim);
         assert_eq!(sim.world.rm.job(a).unwrap().state, JobState::Failed);
-        assert_eq!(sim.world.rm.failed_by_node_loss, vec![a]);
-        assert_eq!(sim.world.rm.busy_nodes(), 0);
+        assert_eq!(sim.world.rm.busy.len(), 0);
     }
 
     #[test]
-    fn node_loss_victims_are_reported_in_job_order() {
+    fn node_loss_fails_every_running_job_on_the_node() {
         // The scheduler never shares a node, so co-located running jobs are
-        // set up by hand; a map-order walk would report them shuffled.
+        // set up by hand.
         let mut rm = ResourceManager::new();
         let node = NodeId(0);
         for (id, state, assigned) in [
@@ -654,18 +625,15 @@ mod tests {
                     id,
                     spec: spec(assigned.len(), 10, Placement::AllowSpan),
                     state,
-                    submitted: SimTime::ZERO,
                     started: Some(SimTime::ZERO),
-                    finished: None,
                     assigned,
                 },
             );
         }
         rm.note_node_down(node);
-        assert_eq!(
-            rm.failed_by_node_loss,
-            vec![JobId(1), JobId(3), JobId(4), JobId(7)]
-        );
+        for id in [1, 3, 4, 7] {
+            assert_eq!(rm.job(JobId(id)).unwrap().state, JobState::Failed);
+        }
         assert_eq!(rm.job(JobId(5)).unwrap().state, JobState::Running);
         assert_eq!(rm.job(JobId(9)).unwrap().state, JobState::Completed);
     }

@@ -6,8 +6,8 @@
 //!
 //! * [`vc`] — virtual-cluster lifecycle: provisioning (image staging over
 //!   shared storage, boot), the three mapping modes of the paper's Figure 1
-//!   (direct, subset, spanning multiple clusters), teardown, and the
-//!   checkpoint-set store.
+//!   (direct, subset, spanning multiple clusters), and the checkpoint-set
+//!   store.
 //! * [`lsc`] — the checkpoint coordinators:
 //!   - **naive** (paper §3.1): serialized terminal fan-out whose dispatch
 //!     skew grows linearly with node count — failures *emerge* when the
@@ -26,23 +26,17 @@
 //!   shared NTP-scheduled instant.
 //! * [`migrate`] — parallel live migration: pre-copy while the guests run,
 //!   then an NTP-coordinated cutover.
-//! * [`reliability`] — the resource-manager integration the paper's §4
-//!   calls for: periodic checkpointing (fixed interval or Young's optimum),
-//!   failure detection, and automatic restore onto surviving nodes —
-//!   "if a single physical node dies, we can restart a checkpoint of the
-//!   entire virtual cluster on a different set of physical nodes".
+//! * [`reliability`] — periodic checkpointing (fixed interval or Young's
+//!   optimum), failure detection, and automatic restore onto surviving
+//!   nodes — "if a single physical node dies, we can restart a checkpoint
+//!   of the entire virtual cluster on a different set of physical nodes".
 
-pub mod batch;
-pub mod images;
 pub mod lsc;
 pub mod migrate;
 pub mod reliability;
 pub mod vc;
 
-pub use batch::{submit_dvc_job, DvcJobSpec, DvcJobState};
 pub use lsc::RestoreOutcome;
 pub use lsc::{checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, RestoreError};
 pub use migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
-pub use vc::{
-    provision_vc, teardown_vc, CheckpointSet, CheckpointStore, VcId, VcSpec, VirtualCluster,
-};
+pub use vc::{provision_vc, CheckpointSet, CheckpointStore, VcId, VcSpec, VirtualCluster};

@@ -2,10 +2,11 @@
 //!
 //! This is the paper's thesis operationalized: "If a single physical node
 //! dies, we can restart a checkpoint of the entire virtual cluster on a
-//! different set of physical nodes" — plus the §4 integration with the
-//! resource manager. The checkpoint cadence is either fixed or Young's
-//! optimum √(2·C·MTBF), with C continuously re-estimated from measured
-//! checkpoint cost.
+//! different set of physical nodes". The manager watches one virtual
+//! cluster's hosts and picks replacement hosts itself; it does not go
+//! through the resource manager. The checkpoint cadence is either fixed
+//! or Young's optimum √(2·C·MTBF), with C continuously re-estimated from
+//! measured checkpoint cost.
 
 use crate::lsc::{self, LscMethod};
 use crate::vc::{self, VcId};

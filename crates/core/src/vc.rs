@@ -1,4 +1,4 @@
-//! Virtual clusters: provisioning, mapping, teardown, checkpoint sets.
+//! Virtual clusters: provisioning, mapping, checkpoint sets.
 
 use dvc_cluster::glue;
 use dvc_cluster::node::NodeId;
@@ -33,10 +33,6 @@ pub struct VcSpec {
     pub os_image_bytes: u64,
     /// Per-VM boot time after its image is staged.
     pub boot_time: SimDuration,
-    /// Identity of the OS image for staging-cache purposes. `Some` lets the
-    /// [`crate::images::ImageManager`] skip transfers to nodes that already
-    /// hold the current version; `None` always stages.
-    pub image: Option<crate::images::ImageId>,
 }
 
 impl VcSpec {
@@ -48,14 +44,7 @@ impl VcSpec {
             vcpus: 1,
             os_image_bytes: 512 << 20, // a 512 MB guest image
             boot_time: SimDuration::from_secs(25),
-            image: None,
         }
-    }
-
-    /// Use a cacheable image identity.
-    pub fn with_image(mut self, image: crate::images::ImageId) -> Self {
-        self.image = Some(image);
-        self
     }
 }
 
@@ -65,8 +54,6 @@ pub enum VcState {
     Provisioning,
     Up,
     Checkpointing,
-    /// All VMs saved & paused/destroyed; images form the latest set.
-    Suspended,
     Restoring,
     Down,
 }
@@ -249,11 +236,10 @@ pub fn provision_vc(
     }
     vc_mut(sim, id).unwrap().vms = vms.clone();
 
-    for (i, &h) in hosts.iter().enumerate() {
-        let vm = vms[i];
+    for vm in vms {
         let boot = spec.boot_time;
         let pending = pending.clone();
-        let boot_then_count = move |sim: &mut Sim<ClusterWorld>| {
+        storage::start_transfer(sim, spec.os_image_bytes, move |sim| {
             sim.schedule_in(boot, move |sim| {
                 glue::resume_vm(sim, vm);
                 let mut p = pending.borrow_mut();
@@ -268,38 +254,9 @@ pub fn provision_vc(
                     }
                 }
             });
-        };
-        // Staging cache: skip the transfer when this node already holds the
-        // image's current version (the paper's "image management").
-        let cached = spec
-            .image
-            .is_some_and(|img| !crate::images::manager(sim).needs_staging(h, img));
-        if cached {
-            crate::images::manager(sim).cache_hits += 1;
-            boot_then_count(sim);
-        } else {
-            if let Some(img) = spec.image {
-                crate::images::manager(sim).cache_misses += 1;
-                storage::start_transfer(sim, spec.os_image_bytes, move |sim| {
-                    crate::images::manager(sim).note_staged(h, img);
-                    boot_then_count(sim);
-                });
-            } else {
-                storage::start_transfer(sim, spec.os_image_bytes, boot_then_count);
-            }
-        }
+        });
     }
     id
-}
-
-/// Destroy a virtual cluster and free its hosts.
-pub fn teardown_vc(sim: &mut Sim<ClusterWorld>, id: VcId) {
-    let Some(v) = vc_mut(sim, id) else { return };
-    v.state = VcState::Down;
-    let vms = v.vms.clone();
-    for vm in vms {
-        glue::destroy_vm(sim, vm);
-    }
 }
 
 #[cfg(test)]
@@ -353,24 +310,6 @@ mod tests {
         assert_eq!(vc(&s, direct).unwrap().mapping(&s.world), Mapping::Direct);
         assert_eq!(vc(&s, subset).unwrap().mapping(&s.world), Mapping::Subset);
         assert_eq!(vc(&s, span).unwrap().mapping(&s.world), Mapping::Spanning);
-    }
-
-    #[test]
-    fn teardown_destroys_vms() {
-        let mut s = sim();
-        let id = provision_vc(
-            &mut s,
-            VcSpec::new("t", 2, 64),
-            vec![NodeId(0), NodeId(1)],
-            |_s, _id| {},
-        );
-        s.run_to_completion(1_000_000);
-        teardown_vc(&mut s, id);
-        let v = vc(&s, id).unwrap();
-        assert_eq!(v.state, VcState::Down);
-        for &vm in &v.vms {
-            assert_eq!(s.world.vm(vm).unwrap().state, dvc_vmm::VmState::Dead);
-        }
     }
 
     #[test]

@@ -33,9 +33,6 @@ pub enum Op {
     Apply(ApplyFn),
     /// Expand dynamically: the generated ops run next, in order.
     Gen(GenFn),
-    /// Write the value at `slot` to the guest's local scratch disk (models
-    /// application-level checkpointing I/O); blocks until the write lands.
-    DiskWriteSlot { slot: String },
     /// Write `bytes` raw bytes to the local scratch disk.
     DiskWrite { bytes: u64 },
     /// Mark an application-visible label (progress tracing / tests).

@@ -421,15 +421,6 @@ impl MpiRuntime {
                     let ops = f(&mut self.data, self.rank, self.size);
                     push_front(&mut self.script, ops);
                 }
-                Op::DiskWriteSlot { slot } => {
-                    let bytes = self
-                        .data
-                        .get(&slot)
-                        .map(|v| v.wire_len() as u64)
-                        .unwrap_or(0);
-                    let done_at = ctx.disk.write(ctx.now, bytes);
-                    return ProcPoll::SleepUntil(done_at);
-                }
                 Op::DiskWrite { bytes } => {
                     let done_at = ctx.disk.write(ctx.now, bytes);
                     return ProcPoll::SleepUntil(done_at);

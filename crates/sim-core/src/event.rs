@@ -154,7 +154,6 @@ pub enum RmEvent {
     },
     JobCompleted {
         job: u64,
-        success: bool,
     },
     /// EASY backfill computed the blocked head job's shadow time.
     BackfillReservation {
@@ -395,7 +394,9 @@ impl Event {
                 }
             },
             Event::Rm(e) => match e {
-                RmEvent::JobQueued { job } | RmEvent::BackfillStarted { job } => {
+                RmEvent::JobQueued { job }
+                | RmEvent::JobCompleted { job }
+                | RmEvent::BackfillStarted { job } => {
                     let _ = write!(s, ",\"job\":{job}");
                 }
                 RmEvent::JobStarted { job, nodes } => {
@@ -404,9 +405,6 @@ impl Event {
                         let _ = write!(s, "{}{n}", if i > 0 { "," } else { "" });
                     }
                     s.push(']');
-                }
-                RmEvent::JobCompleted { job, success } => {
-                    let _ = write!(s, ",\"job\":{job},\"success\":{success}");
                 }
                 RmEvent::BackfillReservation { head_job, shadow } => {
                     let _ = write!(s, ",\"head_job\":{head_job},\"shadow\":{}", shadow.nanos());

@@ -127,32 +127,6 @@ impl FaultPlan {
         self
     }
 
-    /// Generate Poisson-arriving windows of `kind` over `[0, horizon)`:
-    /// exponential gaps with the given mean, each window `duration` long.
-    /// Deterministic for a given RNG state — feed it a stream derived from
-    /// the plan seed to make the schedule replayable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn poisson_windows<R: Rng + ?Sized>(
-        &mut self,
-        kind: &'static str,
-        target: Option<u64>,
-        mean_gap_s: f64,
-        duration_s: f64,
-        magnitude: f64,
-        horizon: SimTime,
-        rng: &mut R,
-    ) -> &mut Self {
-        assert!(mean_gap_s > 0.0 && duration_s > 0.0);
-        let mut t = crate::rng::exp_sample(rng, mean_gap_s);
-        while t < horizon.as_secs_f64() {
-            let from = SimTime::from_secs_f64(t);
-            let until = SimTime::from_secs_f64(t + duration_s);
-            self.window(kind, target, from, until, magnitude);
-            t += duration_s + crate::rng::exp_sample(rng, mean_gap_s);
-        }
-        self
-    }
-
     /// The active window of `kind` covering (`target`, `now`), if any.
     /// Later-added windows win overlaps (they are refinements).
     pub fn active(
@@ -211,11 +185,6 @@ impl FaultPlan {
 
     pub fn injected_total(&self) -> u64 {
         self.injected.values().sum()
-    }
-
-    /// All windows of one kind, in insertion order.
-    pub fn windows_of(&self, kind: &'static str) -> impl Iterator<Item = &FaultWindow> {
-        self.windows.iter().filter(move |w| w.kind == kind)
     }
 
     /// All windows (installers walk this to schedule boundary events).
@@ -286,36 +255,6 @@ mod tests {
         assert!(p
             .active("ntp.outage", None, SimTime::from_secs(61))
             .is_none());
-    }
-
-    #[test]
-    fn poisson_windows_are_seed_deterministic() {
-        let gen = |seed| {
-            let mut p = FaultPlan::new(seed);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            p.poisson_windows(
-                "storage.brownout",
-                None,
-                100.0,
-                20.0,
-                0.2,
-                SimTime::from_secs(2000),
-                &mut rng,
-            );
-            p.windows_of("storage.brownout")
-                .map(|w| (w.from, w.until))
-                .collect::<Vec<_>>()
-        };
-        let a = gen(42);
-        let b = gen(42);
-        let c = gen(43);
-        assert_eq!(a, b);
-        assert!(!a.is_empty(), "expected some windows over 2000 s");
-        assert_ne!(a, c, "different seeds should differ");
-        // Windows never overlap (gap sampled after each window ends).
-        for w in a.windows(2) {
-            assert!(w[0].1 <= w[1].0);
-        }
     }
 
     #[test]

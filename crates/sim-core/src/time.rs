@@ -63,12 +63,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked subtraction of a duration.
-    #[inline]
-    pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_sub(d.0).map(SimTime)
-    }
-
     #[inline]
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
