@@ -73,7 +73,6 @@ fn run_trace(seed: u64, spanning: bool) -> TraceResult {
             Placement::SingleCluster
         };
         let spec = JobSpec {
-            name: "trace".into(),
             nodes: tj.nodes,
             est_duration: SimDuration::from_secs_f64(tj.duration_s),
             placement,

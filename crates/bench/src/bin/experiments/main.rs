@@ -111,6 +111,16 @@ pub fn attach_sinks(
     }
 }
 
+/// Print `msg` and the usage line, then exit 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: experiments [--quick] [--trials-scale X] [--seed S] \
+         [--check-invariants] <e1..e13|all>..."
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut scale = 1.0f64;
     let mut seed = 20070926; // CLUSTER 2007 ;-)
@@ -121,30 +131,18 @@ fn main() {
         match a.as_str() {
             "--quick" => scale = 0.15,
             "--check-invariants" => check_invariants = true,
-            "--trials-scale" => {
-                scale = args
-                    .next()
-                    .expect("--trials-scale <f64>")
-                    .parse()
-                    .expect("bad scale");
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed <u64>")
-                    .parse()
-                    .expect("bad seed");
-            }
+            // "inf" parses, and `Opts::trials` would saturate it to usize::MAX.
+            "--trials-scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(x) if x.is_finite() && x > 0.0 => scale = x,
+                _ => usage("--trials-scale needs a finite number > 0"),
+            },
+            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(s) => seed = s,
+                None => usage("--seed needs an unsigned integer"),
+            },
             "all" => picked.extend(dvc_bench::ALL_EXPERIMENTS.iter().map(|s| s.to_string())),
             e if dvc_bench::ALL_EXPERIMENTS.contains(&e) => picked.push(e.to_string()),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: experiments [--quick] [--trials-scale X] [--seed S] \
-                     [--check-invariants] <e1..e13|all>..."
-                );
-                std::process::exit(2);
-            }
+            other => usage(&format!("unknown argument: {other}")),
         }
     }
     if picked.is_empty() {

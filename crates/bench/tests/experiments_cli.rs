@@ -17,3 +17,20 @@ fn repeated_experiment_runs_once_at_its_first_mention() {
         .collect();
     assert_eq!(headers, ["E1", "E2"], "{stdout}");
 }
+
+#[test]
+fn bad_values_print_usage_and_exit_2() {
+    for args in [
+        &["--trials-scale", "abc", "e1"][..],
+        &["--seed"],
+        &["--trials-scale", "0", "e1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("run experiments");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+    }
+}

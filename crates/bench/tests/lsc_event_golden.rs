@@ -16,17 +16,16 @@
 //!
 //! A second table pins every coordinator path under one fault: the four
 //! checkpoint methods under control-plane loss (save watchdog, save
-//! abort/re-arm, resume re-arm and give-up), a restore onto spares and a
-//! live migration. Each row pins the digest of the full `jsonl` event
-//! stream, `Sim::stats()` and the outcomes, so a refactor of the
-//! coordinators that moves one RNG draw or one scheduled event shows here.
+//! abort/re-arm, resume re-arm and give-up) and a restore onto spares. Each
+//! row pins the digest of the full `jsonl` event stream, `Sim::stats()` and
+//! the outcomes, so a refactor of the coordinators that moves one RNG draw
+//! or one scheduled event shows here.
 
 use dvc_bench::scen::{ring_load, run_cycles, settle, TrialWorld};
 use dvc_cluster::faults::install_fault_plan;
 use dvc_cluster::node::NodeId;
 use dvc_cluster::world::ClusterWorld;
 use dvc_core::lsc::{restore_vc, LscMethod};
-use dvc_core::migrate::{live_migrate_vc, LiveMigrateCfg};
 use dvc_sim_core::{fnv1a, Event, EventSink, FaultPlan, Sim, SimDuration, SimTime, FNV_BASIS};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -241,30 +240,6 @@ fn restore_row() -> Pinned {
     pin(&sim, &rec, outcomes)
 }
 
-/// A 4-VM ring of 256 MB guests live-migrated onto four spares.
-fn migrate_row() -> Pinned {
-    let tw = TrialWorld {
-        nodes: 4,
-        spares: 4,
-        seed: 79,
-        mem_mb: 256,
-        ..TrialWorld::default()
-    };
-    let (mut sim, vc_id) = tw.build();
-    let rec = recorded(&mut sim);
-    let _job = ring_load(&mut sim, vc_id, u64::MAX / 2);
-    settle(&mut sim, SimDuration::from_secs(20));
-    let targets: Vec<NodeId> = (5..=8).map(NodeId).collect();
-    let out = sim
-        .await_reply(SimTime::from_secs_f64(1e7), |sim, reply| {
-            live_migrate_vc(sim, vc_id, targets, LiveMigrateCfg::default(), reply);
-        })
-        .expect("migration must finish");
-    settle(&mut sim, SimDuration::from_secs(20));
-    let outcomes = format!("{} {}", out.success, out.downtime.nanos());
-    pin(&sim, &rec, outcomes)
-}
-
 #[test]
 fn coordinator_paths_match_golden_table() {
     let mut rows: Vec<(&str, Pinned)> = LscMethod::NAMES
@@ -272,7 +247,6 @@ fn coordinator_paths_match_golden_table() {
         .map(|&n| (n, method_row(n)))
         .collect();
     rows.push(("restore", restore_row()));
-    rows.push(("migrate", migrate_row()));
     if std::env::var("DUMP_LSC_EVENT_GOLDEN").is_ok() {
         for (name, got) in &rows {
             println!("{name}: {got:?}");
@@ -301,7 +275,7 @@ fn coordinator_paths_match_golden_table() {
 /// Pinned coordinator rows: name, event lines, FNV-1a digest of the
 /// `jsonl` stream, `Sim::stats()`, outcomes. Method rows list each cycle
 /// as `(success, attempts)`; the restore row is `success resume_skew_ns
-/// duration_ns`; the migrate row is `success downtime_ns`.
+/// duration_ns`.
 #[allow(clippy::type_complexity)]
 const COORDINATOR_GOLDEN: &[(&str, usize, u64, (u64, u64, u64, u64), &str)] = &[
     (
@@ -338,12 +312,5 @@ const COORDINATOR_GOLDEN: &[(&str, usize, u64, (u64, u64, u64, u64), &str)] = &[
         0x4c6a45176e52053e,
         (75919, 59031, 16818, 239),
         "true 337743 6006671425",
-    ),
-    (
-        "migrate",
-        17,
-        0x3ab18bab379012de,
-        (55998, 42662, 13287, 117),
-        "true 14764377",
     ),
 ];

@@ -30,7 +30,6 @@ pub enum Placement {
 /// A job request.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
-    pub name: String,
     pub nodes: usize,
     /// User walltime estimate (drives backfill reservations).
     pub est_duration: SimDuration,
@@ -311,7 +310,6 @@ mod tests {
 
     fn spec(nodes: usize, est_s: u64, placement: Placement) -> JobSpec {
         JobSpec {
-            name: format!("job{nodes}"),
             nodes,
             est_duration: SimDuration::from_secs(est_s),
             placement,

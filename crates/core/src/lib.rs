@@ -23,20 +23,17 @@
 //!     manager degrades to while NTP sync is stale.
 //!
 //!   Restores stage every image, then resume everyone together at one
-//!   shared NTP-scheduled instant.
-//! * [`migrate`] — parallel live migration: pre-copy while the guests run,
-//!   then an NTP-coordinated cutover.
+//!   shared NTP-scheduled instant. A restore onto a different node set is
+//!   how a VC migrates.
 //! * [`reliability`] — periodic checkpointing (fixed interval or Young's
 //!   optimum), failure detection, and automatic restore onto surviving
 //!   nodes — "if a single physical node dies, we can restart a checkpoint
 //!   of the entire virtual cluster on a different set of physical nodes".
 
 pub mod lsc;
-pub mod migrate;
 pub mod reliability;
 pub mod vc;
 
 pub use lsc::RestoreOutcome;
 pub use lsc::{checkpoint_vc, restore_vc, restore_vc_intact, LscMethod, LscOutcome, RestoreError};
-pub use migrate::{live_migrate_vc, LiveMigrateCfg, LiveMigrateOutcome};
 pub use vc::{provision_vc, CheckpointSet, CheckpointStore, VcId, VcSpec, VirtualCluster};

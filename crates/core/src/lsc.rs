@@ -217,11 +217,11 @@ pub struct RestoreOutcome {
 }
 
 /// How a run reports its outcome.
-pub(crate) type Done<O> = Box<dyn FnOnce(&mut Sim<ClusterWorld>, O)>;
+type Done<O> = Box<dyn FnOnce(&mut Sim<ClusterWorld>, O)>;
 
-/// The in-flight runs of one coordinator kind (checkpoint, restore or live
-/// migration), keyed by run id. A run is removed in the same call that
-/// ends it, so a callback that lands afterwards finds nothing to act on.
+/// The in-flight runs of one coordinator kind (checkpoint or restore),
+/// keyed by run id. A run is removed in the same call that ends it, so a
+/// callback that lands afterwards finds nothing to act on.
 struct Runs<R> {
     runs: FastMap<u64, R>,
     next: u64,
@@ -237,19 +237,19 @@ impl<R> Default for Runs<R> {
 }
 
 /// Register a new run and return its id (ids count from 1 per kind).
-pub(crate) fn open_run<R: 'static>(sim: &mut Sim<ClusterWorld>, run: R) -> u64 {
+fn open_run<R: 'static>(sim: &mut Sim<ClusterWorld>, run: R) -> u64 {
     let rs = sim.world.ext.get_or_default::<Runs<R>>();
     rs.next += 1;
     rs.runs.insert(rs.next, run);
     rs.next
 }
 
-pub(crate) fn get_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<&mut R> {
+fn get_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<&mut R> {
     sim.world.ext.get_or_default::<Runs<R>>().runs.get_mut(&id)
 }
 
 /// Remove a run; `None` when it has already ended.
-pub(crate) fn close_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<R> {
+fn close_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Option<R> {
     sim.world.ext.get_or_default::<Runs<R>>().runs.remove(&id)
 }
 
@@ -257,7 +257,7 @@ pub(crate) fn close_run<R: 'static>(sim: &mut Sim<ClusterWorld>, id: u64) -> Opt
 /// the VC takes `state`, the run's still-open spans close (listed children
 /// first, the root last — a child span never outlives its root), and
 /// `report` hands the outcome on.
-pub(crate) fn end_run(
+fn end_run(
     sim: &mut Sim<ClusterWorld>,
     vc_id: VcId,
     state: VcState,
@@ -274,7 +274,7 @@ pub(crate) fn end_run(
 }
 
 /// Max − min over the instants known so far (zero below two).
-pub(crate) fn skew_of(times: &[Option<SimTime>]) -> SimDuration {
+fn skew_of(times: &[Option<SimTime>]) -> SimDuration {
     let mut known = times.iter().flatten();
     let Some(&first) = known.next() else {
         return SimDuration::ZERO;

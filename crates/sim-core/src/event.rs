@@ -91,10 +91,6 @@ pub enum VmmEvent {
         dirty: u64,
         total: u64,
     },
-    /// Live migration entered its stop-and-copy cutover for this VM.
-    MigrateCutover {
-        vm: u32,
-    },
 }
 
 /// Coordinated-checkpoint (LSC) lifecycle events.
@@ -240,7 +236,6 @@ impl Event {
                 VmmEvent::SnapshotBegin { .. } => "vmm.snapshot_begin",
                 VmmEvent::SnapshotEnd { .. } => "vmm.snapshot_end",
                 VmmEvent::PagesDirty { .. } => "vmm.pages_dirty",
-                VmmEvent::MigrateCutover { .. } => "vmm.migrate_cutover",
             },
             Event::Lsc(e) => match e {
                 LscEvent::ArmSent { .. } => "lsc.arm_sent",
@@ -328,7 +323,7 @@ impl Event {
                 let _ = write!(s, ",\"ep\":{ep}");
             }
             Event::Vmm(e) => match e {
-                VmmEvent::SnapshotBegin { vm } | VmmEvent::MigrateCutover { vm } => {
+                VmmEvent::SnapshotBegin { vm } => {
                     let _ = write!(s, ",\"vm\":{vm}");
                 }
                 VmmEvent::SnapshotEnd { vm, bytes } => {

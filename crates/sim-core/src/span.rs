@@ -60,9 +60,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "vmm.save",
     "storage.write",
     "storage.stage",
-    "migrate.live",
-    "migrate.precopy",
-    "migrate.cutover",
 ];
 
 /// Map a span name from an exported stream back to its registry entry.

@@ -29,12 +29,8 @@
 //!   shared-storage fair-share model. Memory is size-only: the image carries
 //!   the guest's footprint in bytes, not page contents, since the paper saves
 //!   all guest memory every time and no workload's result lives in it.
-//! * [`migrate`]: a pre-copy live-migration cost model (rounds of dirty-page
-//!   transfer), the "extending LSC to enable parallel migration" future-work
-//!   item.
 
 pub mod guest;
-pub mod migrate;
 pub mod vm;
 
 pub use guest::{GuestCtx, GuestOs, GuestProc, KmsgEntry, ProcPoll, ProcState, VirtDisk, Watchdog};

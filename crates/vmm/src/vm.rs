@@ -104,14 +104,6 @@ impl Vm {
         }
     }
 
-    /// The bytes a whole-VM snapshot must persist: the full guest memory
-    /// footprint (the paper: "the state of the entire guest environment is
-    /// saved (all memory available to the guest including the guest
-    /// kernel)").
-    pub fn image_bytes(&self) -> u64 {
-        self.mem_mb as u64 * 1024 * 1024
-    }
-
     pub fn is_running(&self) -> bool {
         self.state == VmState::Running
     }
@@ -125,9 +117,9 @@ impl Vm {
     }
 
     /// Take a snapshot of the paused domain: a clone of the guest state.
-    /// Memory is size-only — the image stands for `image_bytes()` of guest
-    /// memory, and the *time* cost of serializing those bytes to storage is
-    /// modelled by the caller against the storage subsystem.
+    /// Memory is size-only — the image stands for [`VmImage::size_bytes`] of
+    /// guest memory, and the *time* cost of serializing those bytes to
+    /// storage is modelled by the caller against the storage subsystem.
     pub fn snapshot(&self, taken_at: SimTime) -> VmImage {
         debug_assert!(
             matches!(self.state, VmState::Paused | VmState::Saving),
@@ -180,6 +172,10 @@ pub struct VmImage {
 }
 
 impl VmImage {
+    /// The bytes a whole-VM snapshot must persist: the full guest memory
+    /// footprint (the paper: "the state of the entire guest environment is
+    /// saved (all memory available to the guest including the guest
+    /// kernel)").
     pub fn size_bytes(&self) -> u64 {
         self.mem_mb as u64 * 1024 * 1024
     }
@@ -235,8 +231,9 @@ mod tests {
 
     #[test]
     fn image_size_is_memory_footprint() {
-        let v = vm();
-        assert_eq!(v.image_bytes(), 256 * 1024 * 1024);
+        let mut v = vm();
+        v.pause();
+        assert_eq!(v.snapshot(SimTime::ZERO).size_bytes(), 256 * 1024 * 1024);
     }
 
     #[test]
@@ -247,7 +244,7 @@ mod tests {
         assert_eq!(v.state, VmState::Paused);
         assert!(v.epoch > e0);
         let img = v.snapshot(SimTime::ZERO);
-        assert_eq!(img.size_bytes(), v.image_bytes());
+        assert_eq!(img.size_bytes(), 256 * 1024 * 1024);
         v.resume();
         assert!(v.is_running());
 

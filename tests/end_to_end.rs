@@ -217,7 +217,6 @@ fn rm_spanning_placement_end_to_end() {
     let narrow = rm::submit(
         &mut sim,
         JobSpec {
-            name: "narrow".into(),
             nodes: 6,
             est_duration: SimDuration::from_secs(100),
             placement: Placement::SingleCluster,
@@ -227,7 +226,6 @@ fn rm_spanning_placement_end_to_end() {
     let wide = rm::submit(
         &mut sim,
         JobSpec {
-            name: "wide".into(),
             nodes: 6,
             est_duration: SimDuration::from_secs(100),
             placement: Placement::AllowSpan,
