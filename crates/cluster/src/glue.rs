@@ -36,7 +36,7 @@ pub fn local_now(sim: &Sim<ClusterWorld>, node: NodeId) -> LocalNs {
 
 /// Node-local wall-clock "now" for the host of a VM.
 pub(crate) fn vm_local_now(sim: &Sim<ClusterWorld>, vm: VmId) -> Option<LocalNs> {
-    let host = *sim.world.vm_host.get(&vm)?;
+    let host = sim.world.host_of(vm)?;
     Some(local_now(sim, host))
 }
 
@@ -66,9 +66,8 @@ pub fn create_vm(sim: &mut Sim<ClusterWorld>, node: NodeId, mem_mb: u32, vcpus: 
     vm.state = VmState::Running;
     let nic = sim.world.node(node).nic;
     sim.world.fabric.bind(vaddr.into(), nic);
-    sim.world.vaddr_vm.insert(vaddr, id);
     sim.world.vms.push(Some(vm));
-    sim.world.vm_host.insert(id, node);
+    sim.world.place_vm(id, vaddr, node);
     sim.world.node_mut(node).domains.push(id);
     schedule_watchdog_tick(sim, id);
     id
@@ -107,7 +106,7 @@ pub fn pause_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 
 /// Resume a paused domain in place, with wall-jump semantics.
 pub fn resume_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
-    let Some(host) = sim.world.vm_host.get(&vm).copied() else {
+    let Some(host) = sim.world.host_of(vm) else {
         return;
     };
     let now_local = local_now(sim, host);
@@ -234,7 +233,7 @@ pub fn place_image_paused(sim: &mut Sim<ClusterWorld>, image: &VmImage, target: 
     let id = image.vm;
     let idx = id.0 as usize;
     // Detach from the previous host if the domain still exists somewhere.
-    if let Some(old_host) = sim.world.vm_host.remove(&id) {
+    if let Some(old_host) = sim.world.unplace_vm(id) {
         let node = sim.world.node_mut(old_host);
         node.domains.retain(|&d| d != id);
     }
@@ -257,8 +256,7 @@ pub fn place_image_paused(sim: &mut Sim<ClusterWorld>, image: &VmImage, target: 
     sim.world.vms[idx] = Some(vm);
     let nic = sim.world.node(target).nic;
     sim.world.fabric.bind(vaddr.into(), nic);
-    sim.world.vaddr_vm.insert(vaddr, id);
-    sim.world.vm_host.insert(id, target);
+    sim.world.place_vm(id, vaddr, target);
     sim.world.node_mut(target).domains.push(id);
     id
 }
@@ -272,9 +270,9 @@ pub fn destroy_vm(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     v.destroy();
     if let Addr::Virt(va) = addr {
         sim.world.fabric.unbind(addr);
-        sim.world.vaddr_vm.remove(&va);
+        sim.world.unmap_vaddr(va);
     }
-    if let Some(host) = sim.world.vm_host.remove(&vm) {
+    if let Some(host) = sim.world.unplace_vm(vm) {
         sim.world.node_mut(host).domains.retain(|&d| d != vm);
     }
 }
@@ -292,7 +290,7 @@ const NET_PKT_BASE_NS: u64 = 6_000;
 
 /// Fabric delivery entry point (called by `NetWorld::deliver`).
 pub fn deliver(sim: &mut Sim<ClusterWorld>, nic: NicId, pkt: Packet) {
-    let Some(&node_id) = sim.world.nic_node.get(&nic) else {
+    let Some(node_id) = sim.world.nic_owner(nic) else {
         return;
     };
     match pkt.dst {
@@ -312,7 +310,7 @@ pub fn deliver(sim: &mut Sim<ClusterWorld>, nic: NicId, pkt: Packet) {
             }
         }
         Addr::Virt(va) => {
-            let Some(&vm_id) = sim.world.vaddr_vm.get(&va) else {
+            let Some(vm_id) = sim.world.vm_at(va) else {
                 return;
             };
             // Virtualization I/O overhead: the guest pays extra per-packet
@@ -437,11 +435,13 @@ pub(crate) fn rearm_guest_timer(sim: &mut Sim<ClusterWorld>, vm: VmId) {
     if let Some(h) = sim.world.arms(vm).timer.take() {
         sim.cancel(h);
     }
-    let Some(host) = sim.world.vm_host.get(&vm).copied() else {
+    let Some(host) = sim.world.host_of(vm) else {
         return;
     };
     let (deadline, epoch) = {
-        let Some(v) = sim.world.vm(vm) else { return };
+        let Some(v) = sim.world.vm_mut(vm) else {
+            return;
+        };
         if !v.is_running() {
             return;
         }
@@ -495,7 +495,7 @@ pub(crate) fn schedule_poll_at(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize
 
 /// Poll one guest process and act on the result.
 pub fn poll_proc(sim: &mut Sim<ClusterWorld>, vm: VmId, idx: usize) {
-    let Some(host) = sim.world.vm_host.get(&vm).copied() else {
+    let Some(host) = sim.world.host_of(vm) else {
         return;
     };
     let now_local = local_now(sim, host);
@@ -556,7 +556,7 @@ pub(crate) fn wake_blocked_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 /// re-armed against the (possibly jumped) wall clock; runnable processes
 /// whose compute slice expired during the freeze complete immediately.
 pub(crate) fn wake_all_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
-    let Some(host) = sim.world.vm_host.get(&vm).copied() else {
+    let Some(host) = sim.world.host_of(vm) else {
         return;
     };
     let now_local = local_now(sim, host);
@@ -589,7 +589,7 @@ pub(crate) fn wake_all_procs(sim: &mut Sim<ClusterWorld>, vm: VmId) {
 // ---------------------------------------------------------------------
 
 fn schedule_watchdog_tick(sim: &mut Sim<ClusterWorld>, vm: VmId) {
-    let Some(host) = sim.world.vm_host.get(&vm).copied() else {
+    let Some(host) = sim.world.host_of(vm) else {
         return;
     };
     let (epoch, period) = {

@@ -9,7 +9,7 @@ use dvc_net::fabric::{Fabric, LinkParams, NetWorld, SwitchId};
 use dvc_net::packet::Packet;
 use dvc_net::tcp::TcpConfig;
 use dvc_net::NicId;
-use dvc_sim_core::{EventHandle, FastMap, FaultPlan, Sim, SimDuration};
+use dvc_sim_core::{EventHandle, FaultPlan, Sim, SimDuration};
 use dvc_time::clock::HwClock;
 use dvc_vmm::{OverheadProfile, Vm, VmId};
 use rand::rngs::SmallRng;
@@ -104,10 +104,12 @@ pub struct ClusterWorld {
     pub clusters: Vec<ClusterInfo>,
     /// Domains by VmId index (`None` after destruction).
     pub vms: Vec<Option<Vm>>,
-    /// Current placement of each live domain.
-    pub vm_host: FastMap<VmId, NodeId>,
-    /// Virtual address → domain (the DVC overlay's directory).
-    pub vaddr_vm: FastMap<VirtAddr, VmId>,
+    /// Current placement of each live domain, by `VmId` index (see
+    /// [`ClusterWorld::host_of`]).
+    vm_host: Vec<Option<NodeId>>,
+    /// Virtual address → domain, by `VirtAddr` index: the DVC overlay's
+    /// directory (see [`ClusterWorld::vm_at`]).
+    vaddr_vm: Vec<Option<VmId>>,
     pub fabric: Fabric,
     pub storage: SharedStorage,
     /// The run's fault-injection schedule (empty by default). Install a
@@ -119,8 +121,9 @@ pub struct ClusterWorld {
     pub ext: Extensions,
     /// Head node: NTP server, control-plane origin.
     pub head: NodeId,
-    /// Reverse map NIC → owning node (packet delivery dispatch).
-    pub nic_node: FastMap<NicId, NodeId>,
+    /// Reverse map NIC → owning node, by `NicId` index (packet delivery
+    /// dispatch; see [`ClusterWorld::nic_owner`]).
+    nic_node: Vec<Option<NodeId>>,
     /// Armed guest events per domain, indexed by `VmId` (see [`VmArms`]).
     arms: Vec<VmArms>,
     next_vaddr: u32,
@@ -163,6 +166,39 @@ impl ClusterWorld {
         self.vms.get_mut(id.0 as usize).and_then(|v| v.as_mut())
     }
 
+    /// The node hosting live domain `vm`.
+    pub fn host_of(&self, vm: VmId) -> Option<NodeId> {
+        *self.vm_host.get(vm.0 as usize)?
+    }
+
+    /// The domain that owns virtual address `va`.
+    pub fn vm_at(&self, va: VirtAddr) -> Option<VmId> {
+        *self.vaddr_vm.get(va.0 as usize)?
+    }
+
+    /// The node that owns `nic`.
+    pub fn nic_owner(&self, nic: NicId) -> Option<NodeId> {
+        *self.nic_node.get(nic.0 as usize)?
+    }
+
+    /// Record live domain `vm`, addressed `va`, as placed on `node`.
+    pub(crate) fn place_vm(&mut self, vm: VmId, va: VirtAddr, node: NodeId) {
+        *grow_to(&mut self.vaddr_vm, va.0) = Some(vm);
+        *grow_to(&mut self.vm_host, vm.0) = Some(node);
+    }
+
+    /// Forget `vm`'s placement, returning the node it was on.
+    pub(crate) fn unplace_vm(&mut self, vm: VmId) -> Option<NodeId> {
+        self.vm_host.get_mut(vm.0 as usize)?.take()
+    }
+
+    /// Forget which domain owns `va`.
+    pub(crate) fn unmap_vaddr(&mut self, va: VirtAddr) {
+        if let Some(e) = self.vaddr_vm.get_mut(va.0 as usize) {
+            *e = None;
+        }
+    }
+
     /// The armed-event slots of `vm`.
     pub(crate) fn arms(&mut self, vm: VmId) -> &mut VmArms {
         let i = vm.0 as usize;
@@ -196,6 +232,15 @@ impl NetWorld for ClusterWorld {
     fn deliver(sim: &mut Sim<Self>, nic: NicId, pkt: Packet) {
         crate::glue::deliver(sim, nic, pkt);
     }
+}
+
+/// Entry `i` of an id-indexed table, growing the table to reach it.
+fn grow_to<T: Clone>(table: &mut Vec<Option<T>>, i: u32) -> &mut Option<T> {
+    let i = i as usize;
+    if table.len() <= i {
+        table.resize(i + 1, None);
+    }
+    &mut table[i]
 }
 
 /// Builds a multi-cluster world: one switch per cluster, nodes behind LAN
@@ -295,14 +340,17 @@ impl ClusterBuilder {
             });
         }
 
-        let nic_node = nodes.iter().map(|n| (n.nic, n.id)).collect();
+        let mut nic_node = Vec::new();
+        for n in &nodes {
+            *grow_to(&mut nic_node, n.nic.0) = Some(n.id);
+        }
         ClusterWorld {
             cfg: self.cfg,
             nodes,
             clusters,
             vms: Vec::new(),
-            vm_host: FastMap::default(),
-            vaddr_vm: FastMap::default(),
+            vm_host: Vec::new(),
+            vaddr_vm: Vec::new(),
             fabric,
             storage: SharedStorage::new(self.storage_agg_bps, self.storage_stream_bps),
             faults: FaultPlan::none(),

@@ -282,8 +282,8 @@ fn restore_migrates_to_different_nodes_transparently() {
     let ok = sim.run_until(SimTime::from_secs_f64(600.0), |sim| rx_done(sim, vm_rx));
     assert!(ok, "transfer did not survive migration");
     // Placement really changed.
-    assert_eq!(sim.world.vm_host[&vm_tx], NodeId(3));
-    assert_eq!(sim.world.vm_host[&vm_rx], NodeId(0));
+    assert_eq!(sim.world.host_of(vm_tx), Some(NodeId(3)));
+    assert_eq!(sim.world.host_of(vm_rx), Some(NodeId(0)));
     assert!(sim.world.vm(vm_tx).unwrap().is_running() || rx_done(&sim, vm_rx));
 }
 

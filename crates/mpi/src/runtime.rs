@@ -308,17 +308,18 @@ impl MpiRuntime {
             let Some(sock) = peer.sock else {
                 continue;
             };
+            // An idle peer has nothing to do: with no error and nothing to
+            // read (the socket wants no attention), reading 0 bytes neither
+            // reopens a window nor grows `rx` (already parsed after its last
+            // append), and an empty `tx` flushes nothing.
+            if peer.tx.is_empty() && !ctx.tcp.attention(sock) {
+                continue;
+            }
             if let Some(err) = ctx.tcp.error(sock) {
                 return Err(format!(
                     "rank {}: connection to rank {r} failed: {err:?}",
                     self.rank
                 ));
-            }
-            // An idle peer has nothing to do: reading 0 bytes neither
-            // reopens a window nor grows `rx` (already parsed after its
-            // last append), and an empty `tx` flushes nothing.
-            if peer.tx.is_empty() && ctx.tcp.readable_bytes(sock) == 0 {
-                continue;
             }
             ctx.tcp
                 .recv_into(ctx.now, sock, &mut self.peers[i].1.rx, usize::MAX);

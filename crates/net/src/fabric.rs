@@ -15,7 +15,7 @@
 
 use crate::addr::{Addr, NicId};
 use crate::packet::Packet;
-use dvc_sim_core::{FastMap, Sim, SimDuration, SimTime};
+use dvc_sim_core::{Sim, SimDuration, SimTime};
 use rand::Rng;
 
 /// A switch on the fabric.
@@ -107,8 +107,18 @@ pub struct Fabric {
     trunks: Vec<Trunk>,
     /// next_hop[from][to] = trunk index to take, None = unreachable/self.
     next_hop: Vec<Vec<Option<usize>>>,
-    bindings: FastMap<Addr, NicId>,
+    /// Address → NIC bindings: one table per address family, indexed by
+    /// the address number (see `binding_slot`).
+    bindings: [Vec<Option<NicId>>; 2],
     pub counters: FabricCounters,
+}
+
+/// Where `addr`'s binding lives: its family's table and its index there.
+fn binding_slot(addr: Addr) -> (usize, usize) {
+    match addr {
+        Addr::Phys(a) => (0, a.0 as usize),
+        Addr::Virt(a) => (1, a.0 as usize),
+    }
 }
 
 impl Fabric {
@@ -151,15 +161,24 @@ impl Fabric {
     /// Bind (or re-point, for migration) an address to a NIC.
     pub fn bind(&mut self, addr: Addr, nic: NicId) {
         assert!((nic.0 as usize) < self.nics.len());
-        self.bindings.insert(addr, nic);
+        let (family, i) = binding_slot(addr);
+        let table = &mut self.bindings[family];
+        if table.len() <= i {
+            table.resize(i + 1, None);
+        }
+        table[i] = Some(nic);
     }
 
     pub fn unbind(&mut self, addr: Addr) {
-        self.bindings.remove(&addr);
+        let (family, i) = binding_slot(addr);
+        if let Some(b) = self.bindings[family].get_mut(i) {
+            *b = None;
+        }
     }
 
     pub fn lookup(&self, addr: Addr) -> Option<NicId> {
-        self.bindings.get(&addr).copied()
+        let (family, i) = binding_slot(addr);
+        *self.bindings[family].get(i)?
     }
 
     pub fn set_nic_up(&mut self, nic: NicId, up: bool) {

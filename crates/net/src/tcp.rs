@@ -257,6 +257,9 @@ struct Socket {
     wnd_was_closed: bool,
 
     error: Option<TcpError>,
+    /// Readable bytes or an error wait: `!recv_q.is_empty() ||
+    /// error.is_some()`, kept where either changes.
+    attention: bool,
 }
 
 impl Socket {
@@ -286,6 +289,7 @@ impl Socket {
             recv_q: ByteQueue::new(),
             wnd_was_closed: false,
             error: None,
+            attention: false,
         }
     }
 
@@ -350,6 +354,11 @@ pub struct TcpStack {
     pub counters: TcpCounters,
     /// Transport anomalies pending drain (see [`TcpNote`]).
     notes: Vec<TcpNote>,
+    /// [`TcpStack::next_deadline`]'s answer, valid unless
+    /// `deadline_stale`. Every `rtx_deadline` write and every destroy
+    /// marks it stale, so the socket scan runs only after one.
+    deadline_min: Option<LocalNs>,
+    deadline_stale: bool,
 }
 
 impl TcpStack {
@@ -366,6 +375,8 @@ impl TcpStack {
             out: Vec::new(),
             counters: TcpCounters::default(),
             notes: Vec::new(),
+            deadline_min: None,
+            deadline_stale: false,
         }
     }
 
@@ -386,6 +397,13 @@ impl TcpStack {
 
     pub fn error(&self, sock: SockId) -> Option<TcpError> {
         self.sockets.get(sock).and_then(|s| s.error)
+    }
+
+    /// Whether `sock` needs its reader: it has bytes to read or an error.
+    /// Equal to `readable_bytes(sock) > 0 || error(sock).is_some()`, for
+    /// one lookup.
+    pub fn attention(&self, sock: SockId) -> bool {
+        self.sockets.get(sock).is_some_and(|s| s.attention)
     }
 
     pub fn socket_count(&self) -> usize {
@@ -450,6 +468,7 @@ impl TcpStack {
         s.cwnd = self.cfg.mss as f64 * 10.0; // IW10
         s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
+        self.deadline_stale = true;
         let id = self.sockets.insert(s);
         self.conns.insert((port, remote, remote_port), id);
         self.emit_segment(id, isn, TcpFlags::SYN, Bytes::new());
@@ -531,6 +550,7 @@ impl TcpStack {
             return 0;
         };
         let n = s.recv_q.pop_into(out, max);
+        s.attention = !s.recv_q.is_empty() || s.error.is_some();
         // If our advertised window had collapsed to zero, reopen it actively.
         if s.wnd_was_closed && n > 0 {
             s.wnd_was_closed = false;
@@ -549,6 +569,7 @@ impl TcpStack {
 
     fn destroy(&mut self, sock: SockId) {
         if let Some(s) = self.sockets.remove(sock) {
+            self.deadline_stale = true;
             if let Some((raddr, rport)) = s.remote {
                 self.conns.remove(&(s.local_port, raddr, rport));
             }
@@ -560,9 +581,14 @@ impl TcpStack {
     // ------------------------------------------------------------------
 
     /// Earliest pending deadline across all sockets, if any. The host glue
-    /// keeps exactly one interrupt armed at this instant.
-    pub fn next_deadline(&self) -> Option<LocalNs> {
-        self.sockets.live().filter_map(|s| s.rtx_deadline).min()
+    /// keeps exactly one interrupt armed at this instant. Cached: the
+    /// sockets are scanned only after a deadline changed.
+    pub fn next_deadline(&mut self) -> Option<LocalNs> {
+        if self.deadline_stale {
+            self.deadline_min = self.sockets.live().filter_map(|s| s.rtx_deadline).min();
+            self.deadline_stale = false;
+        }
+        self.deadline_min
     }
 
     /// Fire all deadlines ≤ `now`, socket by socket in id order.
@@ -605,6 +631,7 @@ impl TcpStack {
                 s.retries += 1;
                 s.rto_ns = (s.rto_ns * 2).min(cfg.rto_max_ns);
                 s.rtx_deadline = Some(now + s.rto_ns);
+                self.deadline_stale = true;
                 let isn = s.snd_una;
                 self.counters.retransmits += 1;
                 push_note(&mut self.notes, TcpNote::Retransmit);
@@ -618,6 +645,7 @@ impl TcpStack {
                 s.retries += 1;
                 s.rto_ns = (s.rto_ns * 2).min(cfg.rto_max_ns);
                 s.rtx_deadline = Some(now + s.rto_ns);
+                self.deadline_stale = true;
                 let isn = s.snd_una;
                 self.counters.retransmits += 1;
                 push_note(&mut self.notes, TcpNote::Retransmit);
@@ -633,6 +661,7 @@ impl TcpStack {
                 s.retries += 1;
                 s.rto_ns = (s.rto_ns * 2).min(cfg.rto_max_ns);
                 s.rtx_deadline = Some(now + s.rto_ns);
+                self.deadline_stale = true;
                 // Karn: never time a retransmitted range.
                 s.rtt_probe = None;
                 s.ssthresh = (s.flight() as f64 / 2.0).max(2.0 * cfg.mss as f64);
@@ -663,6 +692,7 @@ impl TcpStack {
             _ => {
                 // Spurious deadline in a state with nothing to do.
                 s.rtx_deadline = None;
+                self.deadline_stale = true;
             }
         }
     }
@@ -672,8 +702,10 @@ impl TcpStack {
         push_note(&mut self.notes, TcpNote::ConnAborted);
         if let Some(s) = self.sockets.get_mut(sock) {
             s.error = Some(err);
+            s.attention = true;
             s.state = TcpState::Closed;
             s.rtx_deadline = None;
+            self.deadline_stale = true;
             if let Some((raddr, rport)) = s.remote {
                 let (seq, lport) = (s.snd_nxt, s.local_port);
                 self.send_rst_to(raddr, lport, rport, seq, 0, false);
@@ -777,6 +809,7 @@ impl TcpStack {
                 s.probing = true;
                 s.rto_ns = s.rto_ns.max(cfg.rto_min_ns);
                 s.rtx_deadline = Some(now + s.rto_ns);
+                self.deadline_stale = true;
                 return;
             }
 
@@ -800,6 +833,7 @@ impl TcpStack {
                         s.rto_ns
                     };
                     s.rtx_deadline = Some(now + s.rto_ns);
+                    self.deadline_stale = true;
                 }
                 self.emit_segment(sock, seq, TcpFlags::ACK, chunk);
                 continue;
@@ -824,6 +858,7 @@ impl TcpStack {
         } else {
             // Nothing outstanding after all (e.g. raced with an ACK).
             s.rtx_deadline = None;
+            self.deadline_stale = true;
         }
     }
 
@@ -849,6 +884,7 @@ impl TcpStack {
             // Nothing to probe with; stop probing.
             s.probing = false;
             s.rtx_deadline = None;
+            self.deadline_stale = true;
         }
     }
 
@@ -894,6 +930,7 @@ impl TcpStack {
         s.rcv_nxt = seg.seq.wrapping_add(1);
         s.rto_ns = RTO_INITIAL_NS;
         s.rtx_deadline = Some(now + s.rto_ns);
+        self.deadline_stale = true;
         let id = self.sockets.insert(s);
         self.conns.insert((seg.dst_port, src, seg.src_port), id);
         self.emit_segment(id, isn, TcpFlags::SYN_ACK, Bytes::new());
@@ -908,8 +945,10 @@ impl TcpStack {
             // Acceptable if the seq is in window (we are lenient: any RST
             // for a known connection kills it; sim has no attackers).
             s.error = Some(TcpError::Reset);
+            s.attention = true;
             s.state = TcpState::Closed;
             s.rtx_deadline = None;
+            self.deadline_stale = true;
             let ev = SockEvent::Failed(TcpError::Reset);
             self.counters.conns_aborted += 1;
             push_note(&mut self.notes, TcpNote::ConnAborted);
@@ -931,6 +970,7 @@ impl TcpStack {
                     s.state = TcpState::Established;
                     s.retries = 0;
                     s.rtx_deadline = None;
+                    self.deadline_stale = true;
                     s.rto_ns = RTO_INITIAL_NS;
                     let seq = s.snd_nxt;
                     self.emit_segment(sock, seq, TcpFlags::ACK, Bytes::new());
@@ -946,6 +986,7 @@ impl TcpStack {
                     s.snd_una = seg.ack; // our SYN-ACK is acknowledged
                     s.retries = 0;
                     s.rtx_deadline = None;
+                    self.deadline_stale = true;
                     s.rto_ns = RTO_INITIAL_NS;
                     let lport = s.local_port;
                     let listener = self.listeners.get(&lport).copied();
@@ -1068,8 +1109,10 @@ impl TcpStack {
             // Timer maintenance: restart if data remains in flight.
             if s.flight() == 0 {
                 s.rtx_deadline = None;
+                self.deadline_stale = true;
             } else if s.rtx_deadline.is_some() {
                 s.rtx_deadline = Some(now + s.rto_ns);
+                self.deadline_stale = true;
             }
 
             // Writable?
@@ -1104,6 +1147,7 @@ impl TcpStack {
                     self.retransmit_head(sock);
                     if let Some(s) = self.sockets.get_mut(sock) {
                         s.rtx_deadline = Some(now + s.rto_ns);
+                        self.deadline_stale = true;
                     }
                 }
             } else if window_update {
@@ -1146,6 +1190,7 @@ impl TcpStack {
                 if start_seq == s.rcv_nxt {
                     let n = data.len();
                     s.recv_q.push_bytes(data);
+                    s.attention = true;
                     s.rcv_nxt = s.rcv_nxt.wrapping_add(n as u32);
                     advanced = true;
                     // Pull contiguous out-of-order segments.
@@ -1210,5 +1255,151 @@ mod seq_tests {
         assert!(c.rto_min_ns < c.rto_max_ns);
         assert!(c.mss > 0 && c.mss < 9000);
         assert!(c.max_data_retries >= 1);
+    }
+}
+
+#[cfg(test)]
+mod cache_tests {
+    use super::*;
+    use crate::addr::PhysAddr;
+    use proptest::prelude::*;
+
+    const PORT: u16 = 7000;
+
+    /// Two stacks joined by an in-order wire that the ops drive by hand.
+    struct Pair {
+        stacks: [TcpStack; 2],
+        wire: VecDeque<(usize, Addr, TcpSegment)>,
+        now: LocalNs,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            let cfg = TcpConfig::default();
+            let mut b = TcpStack::new(PhysAddr(1).into(), cfg);
+            b.listen(PORT).unwrap();
+            Pair {
+                stacks: [TcpStack::new(PhysAddr(0).into(), cfg), b],
+                wire: VecDeque::new(),
+                now: 0,
+            }
+        }
+
+        /// Move both stacks' packets onto the wire, dropping their events.
+        fn collect(&mut self) {
+            for (h, stack) in self.stacks.iter_mut().enumerate() {
+                for o in stack.out.drain(..) {
+                    if let StackOutput::Packet(Packet {
+                        src,
+                        l4: L4::Tcp(seg),
+                        ..
+                    }) = o
+                    {
+                        self.wire.push_back((1 - h, src, seg));
+                    }
+                }
+            }
+        }
+
+        /// A socket id of stack `h` picked by `arg`, live or not.
+        fn pick(&self, h: usize, arg: u64) -> SockId {
+            let end = self.stacks[h].sockets.end() as u64;
+            (1 + arg % (end - 1).max(1)) as SockId
+        }
+
+        fn check(&mut self) -> Result<(), TestCaseError> {
+            for stack in &mut self.stacks {
+                let brute = stack.sockets.live().filter_map(|s| s.rtx_deadline).min();
+                prop_assert_eq!(stack.next_deadline(), brute);
+                for id in 0..stack.sockets.end() {
+                    let want = stack.readable_bytes(id) > 0 || stack.error(id).is_some();
+                    prop_assert_eq!(stack.attention(id), want, "socket {}", id);
+                }
+            }
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// After every op, the cached `next_deadline` equals the minimum
+        /// over the live sockets, and each socket's attention flag equals
+        /// "readable bytes or an error". Ops: 0 connect, 1–2 send on a
+        /// socket of A or B, 3–5 let the clock run `arg` ms and deliver the
+        /// wire's head, 6 drop it, 7 reset a connection of either side, 8
+        /// let the clock run `arg` × 200 ms and fire both stacks' timers
+        /// (enough of them exhaust a retry budget), 9 `recv_into` on either
+        /// side, 10 destroy a socket of either side.
+        #[test]
+        fn deadline_cache_and_attention_track_the_sockets(
+            ops in prop::collection::vec((0u8..11, 0u64..64), 1..300),
+        ) {
+            let mut p = Pair::new();
+            let b_addr = p.stacks[1].local_addr;
+            for &(kind, arg) in &ops {
+                let h = (arg & 1) as usize;
+                let now = p.now;
+                match kind {
+                    0 => {
+                        p.stacks[0].connect(now, b_addr, PORT);
+                    }
+                    1 | 2 => {
+                        let h = (kind - 1) as usize;
+                        let sock = p.pick(h, arg / 2);
+                        let data = vec![arg as u8; 1 + arg as usize * 300];
+                        p.stacks[h].send(now, sock, &data);
+                    }
+                    3..=5 => {
+                        p.now += arg as i64 * 1_000_000;
+                        if let Some((to, src, seg)) = p.wire.pop_front() {
+                            p.stacks[to].on_segment(p.now, src, seg);
+                        }
+                    }
+                    6 => {
+                        p.wire.pop_front();
+                    }
+                    7 => {
+                        let sock = p.pick(h, arg / 2);
+                        let target = p.stacks[h].sockets.get(sock).and_then(|s| {
+                            let (raddr, rport) = s.remote?;
+                            Some((raddr, rport, s.local_port, s.rcv_nxt))
+                        });
+                        if let Some((raddr, rport, lport, seq)) = target {
+                            let rst = TcpSegment {
+                                src_port: rport,
+                                dst_port: lport,
+                                seq,
+                                ack: 0,
+                                flags: TcpFlags { rst: true, ack: false, syn: false },
+                                wnd: 0,
+                                payload: Bytes::new(),
+                            };
+                            p.stacks[h].on_segment(now, raddr, rst);
+                        }
+                    }
+                    8 => {
+                        p.now += arg as i64 * 200_000_000;
+                        let now = p.now;
+                        for stack in &mut p.stacks {
+                            stack.on_timer(now);
+                        }
+                    }
+                    9 => {
+                        let sock = p.pick(h, arg / 2);
+                        let mut buf = Vec::new();
+                        p.stacks[h].recv_into(now, sock, &mut buf, arg as usize * 700);
+                    }
+                    _ => {
+                        let sock = p.pick(h, arg / 2);
+                        p.stacks[h].destroy(sock);
+                    }
+                }
+                p.collect();
+                p.check()?;
+                for stack in &mut p.stacks {
+                    while stack.accept(1).is_some() {}
+                    stack.take_notes();
+                }
+            }
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! horizon passes or the queue drains) and [`Sim::await_reply`] (start an
 //! operation that answers through a callback and step until it does).
 //!
-//! Scheduling hands the queue the clock, so an event due now (a zero
-//! delay, or a `schedule_at` clamped to now) takes the [`EventQueue`]'s
-//! same-instant FIFO lane instead of a heap push and pop; the run order is
-//! the same `(time, seq)` order either way.
+//! The [`EventQueue`] is a monotone radix queue: it relies on no event
+//! being scheduled before the last one popped. The engine keeps that true by
+//! clamping `schedule_at` to now and by never moving the clock backwards
+//! (a [`Sim::run`] horizon behind the clock leaves it where it is). Events
+//! run in `(time, seq)` order.
 //!
 //! Cancellation uses tombstones inside the queue: an [`EventHandle`] names
 //! its entry's slab slot, so [`Sim::cancel`] drops the handler at once, with
@@ -80,7 +81,8 @@ type BoxedEvent<W> = Box<dyn FnOnce(&mut Sim<W>)>;
 pub enum StopReason {
     /// The event queue drained.
     QueueEmpty,
-    /// The time horizon was reached (clock is set to the horizon).
+    /// The time horizon was reached (the clock is set to the horizon unless
+    /// it was already past it).
     Horizon,
     /// The event budget was exhausted (livelock guard).
     EventBudget,
@@ -204,7 +206,7 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        self.queue.push(self.now, at.max(self.now), Box::new(f))
+        self.queue.push(at.max(self.now), Box::new(f))
     }
 
     /// Schedule `f` to run after `delay`.
@@ -212,7 +214,7 @@ impl<W> Sim<W> {
     where
         F: FnOnce(&mut Sim<W>) + 'static,
     {
-        self.queue.push(self.now, self.now + delay, Box::new(f))
+        self.queue.push(self.now + delay, Box::new(f))
     }
 
     /// Cancel a scheduled event. Cancelling an already-fired or already-
@@ -240,7 +242,7 @@ impl<W> Sim<W> {
 
     /// Run until the queue empties, `horizon` is reached or `max_events`
     /// are executed. Events scheduled exactly at the horizon do not run;
-    /// the clock is left at the horizon.
+    /// the clock is left at the horizon, or where it was if that is later.
     pub fn run(&mut self, horizon: SimTime, max_events: u64) -> StopReason {
         let budget_end = self.executed.saturating_add(max_events);
         loop {
@@ -250,7 +252,7 @@ impl<W> Sim<W> {
             match self.queue.peek_time() {
                 None => return StopReason::QueueEmpty,
                 Some(t) if t >= horizon => {
-                    self.now = horizon;
+                    self.now = self.now.max(horizon);
                     return StopReason::Horizon;
                 }
                 Some(_) => {
@@ -377,6 +379,21 @@ mod tests {
         // resuming picks the late event back up
         sim.run_to_completion(1000);
         assert_eq!(sim.world.log.len(), 2);
+    }
+
+    #[test]
+    fn horizon_behind_the_clock_does_not_rewind_it() {
+        let mut sim = Sim::new(World::default(), 1);
+        sim.schedule_at(SimTime(500), |s| logit(s, "a"));
+        sim.schedule_at(SimTime(900), |s| logit(s, "b"));
+        assert!(sim.step());
+        assert_eq!(sim.now(), SimTime(500));
+        assert_eq!(sim.run(SimTime(200), 10), StopReason::Horizon);
+        assert_eq!(sim.now(), SimTime(500));
+        // A zero-delay event still lands at the clock, before `b`.
+        sim.schedule_in(SimDuration::ZERO, |s| logit(s, "c"));
+        sim.run_to_completion(10);
+        assert_eq!(sim.world.log, vec![(500, "a"), (500, "c"), (900, "b")]);
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl Reference {
     fn run(&mut self, horizon: u64) {
         while let Some((&(t, _), _)) = self.pending.first_key_value() {
             if t >= horizon {
-                self.now = horizon;
+                self.now = self.now.max(horizon);
                 return;
             }
             self.step();
@@ -139,57 +139,92 @@ impl Reference {
     }
 }
 
+/// A delay of magnitude class `mag` (0..5) around `arg`: tiny, a few
+/// dozen ns, around 2^20, around 2^40 and near 2^62, so pushes land in every
+/// bucket of the radix queue and pops redistribute across all of them.
+fn delay(mag: u8, arg: u64) -> u64 {
+    match mag {
+        0 => arg,
+        1 => arg * 9 + 1,
+        2 => (1 << 20) + arg * 4099,
+        3 => (1 << 40) - arg * 3 + 1,
+        _ => (1 << 62) + (arg << 33) + arg,
+    }
+}
+
 proptest! {
     /// The engine replays random schedule / cancel / step / horizon-run
     /// sequences exactly like a `(time, seq)`-ordered map: same firing
     /// order and instants, same tombstone pops, same depth and high-water
-    /// mark. Op kinds: 0 zero-delay push (the same-instant lane, also while
-    /// the heap holds that instant), 1 push `arg` ns ahead, 2 push `arg` ns
-    /// in the past (clamped to now), 3 cancel an earlier handle (live,
-    /// cancelled or fired, its slot possibly reused), 4 one step, 5 run to
-    /// a horizon `arg` ns ahead.
+    /// mark. Op kinds: 0 zero-delay push (joins the entries already due at
+    /// the clock's instant), 1 push `delay(mag, arg)` ns ahead, 2 push `arg`
+    /// ns in the past (clamped to now), 3 cancel an earlier handle (live,
+    /// cancelled or fired, its slot possibly reused), 4 one step, 5 run to a
+    /// horizon `delay(mag, arg)` ns ahead, 6 push `arg + 2` events at one
+    /// instant `delay(mag, arg)` ns ahead, 7 run to a horizon `arg` ns
+    /// *behind* the clock (it must not rewind). Times saturate at
+    /// `u64::MAX`, which is itself a valid instant.
     #[test]
-    fn queue_matches_reference_order(ops in prop::collection::vec((0u8..6, 0u64..8), 1..400)) {
-        let mut sim = Sim::new(Vec::<(u64, usize)>::new(), 1);
+    fn queue_matches_reference_order(
+        ops in prop::collection::vec((0u8..8, 0u8..5, 0u64..8), 1..400),
+    ) {
+        type W = Vec<(u64, usize)>;
+        let mut sim = Sim::new(W::new(), 1);
         let mut model = Reference::default();
         let mut issued: Vec<(EventHandle, (u64, u64))> = Vec::new();
-        for &(kind, arg) in &ops {
-            let now = sim.now().nanos();
-            let id = issued.len();
-            let fire = move |s: &mut Sim<Vec<(u64, usize)>>| {
+        let fire = |id: usize| {
+            move |s: &mut Sim<W>| {
                 let t = s.now().nanos();
                 s.world.push((t, id));
-            };
-            let h = match kind {
-                0 => Some((sim.schedule_in(SimDuration::ZERO, fire), now)),
-                1 => Some((sim.schedule_in(SimDuration::from_nanos(arg), fire), now + arg)),
-                2 => Some((sim.schedule_at(SimTime(now.saturating_sub(arg)), fire), now.saturating_sub(arg))),
+            }
+        };
+        for &(kind, mag, arg) in &ops {
+            let now = sim.now().nanos();
+            let ahead = now.saturating_add(delay(mag, arg));
+            let mut pushes: Vec<(EventHandle, u64)> = Vec::new();
+            match kind {
+                0 => pushes.push((sim.schedule_in(SimDuration::ZERO, fire(issued.len())), now)),
+                1 => pushes.push((sim.schedule_at(SimTime(ahead), fire(issued.len())), ahead)),
+                2 => {
+                    let at = now.saturating_sub(arg);
+                    pushes.push((sim.schedule_at(SimTime(at), fire(issued.len())), at));
+                }
                 3 => {
                     if let Some(&(h, key)) = issued.get((arg as usize * 7919) % issued.len().max(1)) {
                         sim.cancel(h);
                         model.cancel(key);
                     }
-                    None
                 }
-                4 => {
-                    prop_assert_eq!(sim.step(), model.step());
-                    None
+                4 => prop_assert_eq!(sim.step(), model.step()),
+                5 => {
+                    sim.run(SimTime(ahead), u64::MAX);
+                    model.run(ahead);
+                }
+                6 => {
+                    for k in 0..arg as usize + 2 {
+                        let id = issued.len() + k;
+                        pushes.push((sim.schedule_at(SimTime(ahead), fire(id)), ahead));
+                    }
                 }
                 _ => {
-                    sim.run(SimTime(now + arg), u64::MAX);
-                    model.run(now + arg);
-                    None
+                    let horizon = now.saturating_sub(arg);
+                    sim.run(SimTime(horizon), u64::MAX);
+                    model.run(horizon);
                 }
-            };
-            if let Some((h, at)) = h {
+            }
+            for (h, at) in pushes {
+                let id = issued.len();
                 issued.push((h, model.schedule(at, id)));
             }
             prop_assert_eq!(sim.now().nanos(), model.now);
             prop_assert_eq!(sim.events_pending(), model.pending.len());
             prop_assert_eq!(&sim.world, &model.fired);
         }
-        sim.run_to_completion(u64::MAX);
-        model.run(u64::MAX);
+        // Step rather than run: a run's horizon, even `SimTime::NEVER`,
+        // leaves the events due at `u64::MAX` queued.
+        while sim.step() {}
+        while model.step() {}
+        prop_assert_eq!(sim.now().nanos(), model.now);
         prop_assert_eq!(&sim.world, &model.fired);
         let st = sim.stats();
         prop_assert_eq!(st.scheduled, model.next_seq);
